@@ -43,6 +43,14 @@ class FrlParams:
     def __post_init__(self):
         if self.method not in ("fedsvd", "vfedpca"):
             raise ConfigError(f"unknown FRL method {self.method!r}")
+        if self.iter_num < 1:
+            raise ConfigError("frl.iter_num must be >= 1")
+        if self.period_num < 1:
+            raise ConfigError("frl.period_num must be >= 1")
+        for name in ("rank", "block_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"frl.{name} must be None or >= 1")
 
 
 @dataclass(frozen=True)
@@ -257,20 +265,25 @@ def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
     return models, h_feds
 
 
+def _non_overlap(cfg: ExperimentConfig, task: PartyState, parties: list[PartyState]):
+    """The task party's non-overlap partition, shared by every pair: the rows
+    no data party holds (the union of the overlaps removed), as (row indices,
+    features restricted to ``cfg.nl_columns`` when set)."""
+    shared = set().union(*(p.features.ids for p in parties))
+    nl_idx = [i for i, sid in enumerate(task.features.ids) if sid not in shared]
+    if not nl_idx:
+        raise DataError("task party has no non-overlapping samples to augment")
+    h_t_nl = task.features.select_rows(nl_idx)
+    if cfg.nl_columns:
+        h_t_nl = h_t_nl.select_columns(list(cfg.nl_columns))
+    return nl_idx, h_t_nl
+
+
 def run_pipeline_once(cfg: ExperimentConfig, condition: str, dataset: Dataset,
                       run_seed: int) -> PipelineResult:
     """One seed of one condition: PSI -> FRL -> LKT -> augment -> train -> evaluate."""
     bus = MessageBus()
-    # the non-overlap partition is shared across pairs (union of overlaps removed)
-    union_overlap = set()
-    for party in dataset.data_parties:
-        union_overlap.update(set(dataset.task.features.ids) & set(party.features.ids))
-    nl_idx = [i for i, sid in enumerate(dataset.task.features.ids) if sid not in union_overlap]
-    if not nl_idx:
-        raise DataError("task party has no non-overlapping samples to augment")
-    h_t_nl = dataset.task.features.select_rows(nl_idx)
-    if cfg.nl_columns:
-        h_t_nl = h_t_nl.select_columns(list(cfg.nl_columns))
+    nl_idx, h_t_nl = _non_overlap(cfg, dataset.task, dataset.data_parties)
     y_nl = dataset.task.labels.select_rows(nl_idx)
 
     models: list = []
@@ -357,13 +370,7 @@ def add_data_hospital(models: list, cfg: ExperimentConfig, dataset: Dataset,
             raise DataError("checkpoint schema incompatible with this dataset")
     bus = MessageBus()
     extended = Dataset(task=dataset.task, data_parties=[new_party])
-    union_overlap = set()
-    for party in dataset.data_parties + [new_party]:
-        union_overlap.update(set(dataset.task.features.ids) & set(party.features.ids))
-    nl_idx = [i for i, sid in enumerate(dataset.task.features.ids) if sid not in union_overlap]
-    h_t_nl = dataset.task.features.select_rows(nl_idx)
-    if cfg.nl_columns:
-        h_t_nl = h_t_nl.select_columns(list(cfg.nl_columns))
+    _, h_t_nl = _non_overlap(cfg, dataset.task, dataset.data_parties + [new_party])
     if h_t_nl.columns != models[0].nl_columns:
         raise DataError("non-overlap schema changed since the checkpoint")
     new_models, new_feds = _train_pair_models(cfg, "ablation-no-cl", extended, h_t_nl,

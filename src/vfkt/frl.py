@@ -8,9 +8,10 @@ party:
     upload A H_k B_k; the server factorizes the concatenation and returns
     only the left factor, which the task party unmasks with A^T;
   * an eigenvector-aggregation protocol: each party power-iterates its
-    local sample-space Gram matrix, the server aggregates eigenvector
-    shares weighted by their eigenvalues, and the task party projects its
-    own table through the aggregate direction.
+    local sample-space Gram matrix, applied through its own |I_ol| x f_k
+    block and never formed; the server aggregates eigenvector shares
+    weighted by their eigenvalues, and the task party projects its own
+    table through the aggregate direction.
 
 Pure per-step functions are exposed for testing; ``run_fedsvd`` /
 ``run_vfedpca`` drive them as actors exchanging immutable messages.
@@ -51,6 +52,7 @@ class FederatedRepresentation:
     matrix: Array  # (|I_ol| x r)
     method: str  # "fedsvd" | "vfedpca"
     overlap: OverlapIndex
+    flagged: int = 0  # local power iterations that did not settle (vfedpca)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.matrix)):
@@ -162,18 +164,28 @@ def sample_gram(h_k: Array) -> Array:
 
     The aggregation step sums eigenvector shares across parties, so shares
     must live in the shared sample space rather than each party's private
-    feature space.
+    feature space. This is the dense reference the tests check against;
+    ``vfedpca_local`` applies the same matrix without forming it.
     """
     h_k = np.asarray(h_k, dtype=float)
     return (h_k @ h_k.T) / h_k.shape[1]
 
 
 def vfedpca_local(h_k: Array, iters: int, init: Array) -> EigenShare:
-    """Local power iteration on the party's Gram matrix."""
+    """Local power iteration on the party's Gram matrix.
+
+    The Gram is applied as H_k (H_k^T x) / f_k, so each product costs
+    O(|I_ol| f_k) time and memory instead of O(|I_ol|^2).
+    """
     h_k = np.asarray(h_k, dtype=float)
-    if h_k.shape[1] < 1:
+    f = h_k.shape[1]
+    if f < 1:
         raise ProtocolError("party holds no features")
-    res = power_iteration(sample_gram(h_k), iters, init)
+    if not np.any(h_k):
+        # a zero block has a zero Gram: no direction to find
+        x = np.asarray(init, dtype=float)
+        return EigenShare(vector=x / np.linalg.norm(x), value=0.0, flagged=True)
+    res = power_iteration(lambda x: h_k @ (h_k.T @ x) / f, iters, init)
     return EigenShare(vector=res.vector, value=max(res.value, 0.0), flagged=res.flagged)
 
 
@@ -223,7 +235,9 @@ def run_vfedpca(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
 
     With ``warm_start`` on, parties re-sync their iteration vector from the
     current aggregate every ``period_num`` local iterations; otherwise all
-    iterations run locally and shares are uploaded once.
+    iterations run locally and shares are uploaded once. The result counts
+    the local runs, over all parties and rounds, that came back flagged;
+    the flag stays with its party and is not uploaded.
     """
     if task_id not in party_matrices:
         raise ProtocolError(f"task party {task_id!r} not among participants")
@@ -233,17 +247,17 @@ def run_vfedpca(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
     init = rng.standard_normal(n)
     init /= np.linalg.norm(init)
 
-    rounds = [(period_num if warm_start else iter_num)] * 1
-    if warm_start:
-        full, rem = divmod(iter_num, period_num)
-        rounds = [period_num] * full + ([rem] if rem else [])
+    rounds = ([min(period_num, iter_num - done) for done in range(0, iter_num, period_num)]
+              if warm_start else [iter_num])
 
     current_init = init
     u = None
+    flagged = 0
     for it in rounds:
         shares = {}
         for pid in order:
             share = vfedpca_local(party_matrices[pid], it, current_init)
+            flagged += share.flagged
             bus.send(pid, "server", "eigen_share", (share.vector, np.asarray([share.value])))
         for pid in order:
             vec, val = bus.recv(pid, "server").payload
@@ -257,7 +271,8 @@ def run_vfedpca(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
         current_init = u / nrm if nrm > 0 else init
 
     h_fed = vfedpca_reconstruct(party_matrices[task_id], u)
-    return FederatedRepresentation(matrix=h_fed, method="vfedpca", overlap=overlap)
+    return FederatedRepresentation(matrix=h_fed, method="vfedpca", overlap=overlap,
+                                   flagged=flagged)
 
 
 def run_frl(bus: MessageBus, method: str, task_id: str, party_matrices: dict[str, Array],

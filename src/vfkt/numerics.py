@@ -11,6 +11,7 @@ through an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,8 @@ def random_orthogonal(n: int, seed, block_size: int | None = None) -> Array:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if block_size is not None and block_size < 1:
+        raise ValueError("block_size must be >= 1")
     rng = _rng(seed)
     if block_size is not None and block_size < n:
         q = np.zeros((n, n))
@@ -103,36 +106,49 @@ class PowerIterationResult:
     flagged: bool  # zero matrix or non-unique dominant eigenvalue suspected
 
 
-def power_iteration(a: Array, iters: int, init: Array | None = None) -> PowerIterationResult:
+def power_iteration(a: Array | Callable[[Array], Array], iters: int,
+                    init: Array | None = None) -> PowerIterationResult:
     """Dominant eigenpair of a symmetric PSD matrix by power iteration.
 
-    The returned value is the Rayleigh quotient of the final iterate. A zero
-    matrix returns value 0 with the (normalized) init direction, flagged.
-    When init is omitted, a fixed non-axis-aligned direction is used.
+    ``a`` is the matrix itself or a callable ``x -> A x`` that applies it
+    without forming it. Each product also serves the Rayleigh quotient of
+    the iterate it came from, so a run takes ``iters + 1`` products. The
+    returned value is the Rayleigh quotient of the final iterate. A zero
+    matrix returns value 0 with the (normalized) init direction, flagged;
+    a callable is not tested for zero. When init is omitted, a fixed
+    non-axis-aligned direction is used; a callable needs an init.
     """
-    a = np.asarray(a, dtype=float)
-    if init is None:
-        init = np.ones(a.shape[0]) + 1e-3 * np.arange(a.shape[0])
+    if callable(a):
+        if init is None:
+            raise ValueError("power_iteration needs an init vector for an operator")
+        apply = a
+    else:
+        a = np.asarray(a, dtype=float)
+        if init is None:
+            init = np.ones(a.shape[0]) + 1e-3 * np.arange(a.shape[0])
+        apply = a.__matmul__
     x = np.asarray(init, dtype=float).copy()
     nrm = np.linalg.norm(x)
     if nrm == 0:
         raise ValueError("power_iteration init vector must be non-zero")
     x /= nrm
-    if not np.any(a):
+    if not callable(a) and not np.any(a):
         return PowerIterationResult(vector=x, value=0.0, value_history=(0.0,), flagged=True)
 
     history: list[float] = []
+    y = apply(x)
     for _ in range(iters):
-        y = a @ x
         ny = np.linalg.norm(y)
         if ny == 0:
             # init landed in the null space; restart from a fixed perturbation
             x = x + 1e-6
             x /= np.linalg.norm(x)
+            y = apply(x)
             continue
         x = y / ny
-        history.append(float(x @ (a @ x)))
-    value = history[-1] if history else float(x @ (a @ x))
+        y = apply(x)
+        history.append(float(x @ y))
+    value = history[-1] if history else float(x @ y)
     flagged = False
     if len(history) >= 2 and abs(history[-1] - history[-2]) > 1e-8 * max(abs(value), 1.0):
         flagged = True  # slow/ambiguous convergence (e.g. degenerate spectrum)

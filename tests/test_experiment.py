@@ -120,6 +120,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="epochs"):
             DownstreamParams(epochs=0)
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"iter_num": 0}, "iter_num"),
+        ({"iter_num": -3}, "iter_num"),
+        ({"period_num": 0}, "period_num"),
+        ({"rank": 0}, "rank"),
+        ({"rank": -1}, "rank"),
+        ({"block_size": 0}, "block_size"),
+    ])
+    def test_invalid_frl(self, bad, match):
+        with pytest.raises(ConfigError, match=match):
+            FrlParams(method="vfedpca", **bad)
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict({**_tiny_config().to_dict(), "frl": bad})
+
     def test_hash_tracks_content(self):
         a = _tiny_config()
         b = _tiny_config(seed=1)

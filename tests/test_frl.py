@@ -1,5 +1,7 @@
 """Tests for the federated representation protocols and the message bus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,30 @@ class TestVFedPcaSteps:
         assert abs(abs(share.vector @ v[:, -1]) - 1.0) < 1e-8
         assert abs(share.value - w[-1]) < 1e-8
 
+    def test_local_share_never_forms_the_gram(self):
+        # a 3000 x 8 block: the dense Gram would take 72 MB
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(3000, 8)) * np.array([4.0] + [1.0] * 7)
+        init = rng.standard_normal(3000)
+        tracemalloc.start()
+        try:
+            share = vfedpca_local(h, iters=60, init=init)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        w, v = np.linalg.eigh(sample_gram(h))
+        top = v[:, -1] * np.sign(v[:, -1] @ share.vector)
+        np.testing.assert_allclose(share.vector, top, rtol=0, atol=1e-10)
+        assert abs(share.value - w[-1]) <= 1e-10 * w[-1]
+        assert not share.flagged
+
+    def test_zero_block_share(self):
+        init = np.array([3.0, 0.0, 4.0])
+        share = vfedpca_local(np.zeros((3, 2)), iters=10, init=init)
+        assert share.value == 0.0 and share.flagged
+        np.testing.assert_array_equal(share.vector, init / 5.0)
+
     def test_aggregate_exact_weights(self):
         v1 = np.array([1.0, 0.0])
         v2 = np.array([0.0, 1.0])
@@ -270,6 +296,25 @@ class TestVFedPcaProtocol:
         run_vfedpca(bus, "p0", parties, _overlap(10), seed=1,
                     iter_num=25, warm_start=False)
         assert len(bus.messages_of_kind("eigen_share")) == 2
+
+    def test_unsettled_local_runs_are_counted(self):
+        # two near-equal top eigenvalues and 3 local iterations: no settling
+        h = np.zeros((10, 2))
+        h[0, 0], h[1, 1] = 1.0, 0.999
+        parties = {"p0": h, "p1": h.copy()}
+        rep = run_vfedpca(MessageBus(), "p0", parties, _overlap(10), seed=2,
+                          iter_num=3, period_num=10)
+        assert rep.flagged > 0
+
+    def test_converged_run_counts_nothing(self):
+        parties = _parties(n=25, sizes=(6, 6), seed=4)
+        parties["p1"][:, 0] *= 5.0
+        parties["p0"][:, 0] = parties["p1"][:, 0]
+        rep = run_vfedpca(MessageBus(), "p0", parties, _overlap(25), seed=0,
+                          iter_num=300, period_num=100)
+        assert rep.flagged == 0
+        fed = run_fedsvd(MessageBus(), "p0", parties, _overlap(25), seed=0)
+        assert fed.flagged == 0
 
     def test_deterministic_given_seed(self):
         parties = _parties(n=10, sizes=(3, 4), seed=8)

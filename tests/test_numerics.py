@@ -117,6 +117,12 @@ class TestRandomOrthogonal:
         assert not np.array_equal(random_orthogonal(6, seed=3),
                                   random_orthogonal(6, seed=4))
 
+    def test_nonpositive_block_size_rejected(self):
+        with pytest.raises(ValueError, match="block_size"):
+            random_orthogonal(6, seed=0, block_size=0)
+        with pytest.raises(ValueError, match="block_size"):
+            random_orthogonal(6, seed=0, block_size=-2)
+
     def test_block_diagonal_structure(self):
         q = random_orthogonal(10, seed=0, block_size=4)
         np.testing.assert_allclose(q @ q.T, np.eye(10), atol=1e-12)
@@ -155,6 +161,29 @@ class TestPowerIteration:
         res = power_iteration(np.zeros((4, 4)), iters=50)
         assert res.flagged
         assert res.value == 0.0
+
+    def test_operator_matches_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((9, 4))
+        g = m @ m.T
+        init = rng.standard_normal(9)
+        calls = []
+
+        def op(x):
+            calls.append(1)
+            return g @ x
+
+        dense = power_iteration(g, iters=40, init=init)
+        implicit = power_iteration(op, iters=40, init=init)
+        assert len(calls) == 41
+        np.testing.assert_array_equal(implicit.vector, dense.vector)
+        assert implicit.value == dense.value
+        assert implicit.value_history == dense.value_history
+        assert implicit.flagged == dense.flagged
+
+    def test_operator_needs_init(self):
+        with pytest.raises(ValueError, match="init"):
+            power_iteration(lambda x: x, iters=3)
 
     def test_slow_convergence_flagged(self):
         # nearly degenerate spectrum with too few iterations to settle
