@@ -1,5 +1,6 @@
 """Tests for experiment configs, the end-to-end pipeline, sweeps, and the CLI."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -38,6 +39,38 @@ def _tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _csv_config():
+    return ExperimentConfig(
+        csv=CsvSource(task_path="t.csv", data_paths=("a.csv", "b.csv"),
+                      id_column="pid"),
+        ol_columns=("t0", "t1"), nl_columns=("t2", "t3"),
+        lkt=LktConfig(beta_recons=2.0, beta_mi=0.5, mine_hidden=[8, 4]))
+
+
+def _all_fields_config():
+    """Every field of every section away from its default."""
+    return ExperimentConfig(
+        synthetic=SyntheticSpec(
+            n_task_samples=90, overlap_count=30, task_features=5,
+            data_features=(3, 4), latent_dim=4, label_coords=2, task_signal=0.6,
+            noise=0.2, label_noise=0.1, redundant_hospitals=True, seed=3),
+        ol_columns=("t0", "t1", "t2"), nl_columns=("t3", "t4"),
+        standardize_features=False,
+        frl=FrlParams(method="vfedpca", block_size=5, iter_num=50, period_num=4,
+                      warm_start=False, rank=2),
+        lkt=LktConfig(latent_dim=3, mi_weight=0.2, beta_recons=2.0, beta_mi=0.5,
+                      temperature=0.25, learning_rate=2e-3, batch_size=32, epochs=7,
+                      finetune_epochs=3, finetune_lr=5e-4,
+                      reconstruction_source="local", hidden_width=6,
+                      mine_hidden=(8, 4), mine_activation="tanh"),
+        downstream=DownstreamParams(model="mlp", train_fraction=0.7,
+                                    few_shot_fraction=0.5, n_seeds=3, epochs=12,
+                                    learning_rate=0.05),
+        conditions=("unitrans", "ablation-no-mi"),
+        seed=7,
+    )
 
 
 class TestSyntheticSpec:
@@ -133,6 +166,29 @@ class TestExperimentConfig:
             FrlParams(method="vfedpca", **bad)
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict({**_tiny_config().to_dict(), "frl": bad})
+
+    # sha256 of the config.json bytes and config_hash, pinned so that a
+    # change of serialization cannot silently re-key reports and checkpoints
+    @pytest.mark.parametrize("make, json_sha256, config_hash", [
+        (_tiny_config,
+         "7eee490f76c8f87747cf5addb29ea561e543ef8216889c634e3fe35b354851d2",
+         "e1575c0cb22d0609"),
+        (_csv_config,
+         "c8fb932afd1db9a4d0913207f1d2f0cef2eb9d55fde7b4c4034565549270ac90",
+         "9ca6f08b619d4123"),
+        (_all_fields_config,
+         "e58e96f00e640c55d86e8e34fb7f628faa59e30459ac9707c90ab05e063e32bc",
+         "01f92d9e68999699"),
+    ])
+    def test_serialization_is_pinned(self, make, json_sha256, config_hash):
+        cfg = make()
+        text = json.dumps(cfg.to_dict(), sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == json_sha256
+        assert cfg.config_hash == config_hash
+
+    def test_empty_column_split_serializes_as_unset(self):
+        assert _tiny_config(ol_columns=(), nl_columns=()).config_hash == \
+            _tiny_config().config_hash
 
     def test_hash_tracks_content(self):
         a = _tiny_config()
