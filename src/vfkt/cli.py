@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .data import write_csv
 from .downstream import RunReport
-from .experiment import ExperimentConfig, render_reports, run_experiment, sweep
+from .experiment import ExperimentConfig, from_dict, render_reports, run_experiment, sweep
 from .synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -64,7 +64,7 @@ def cmd_gen_synthetic(args) -> int:
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise FileNotFoundError(f"spec file not found: {spec_path}")
-    spec = SyntheticSpec.from_dict(json.loads(spec_path.read_text()))
+    spec = from_dict(SyntheticSpec, json.loads(spec_path.read_text()))
     task, data_parties = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -23,8 +23,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
-        if self.few_shot_fraction is not None and not 0.0 < self.few_shot_fraction < 1.0:
-            raise ValueError("few_shot_fraction must lie in (0, 1)")
+        if self.few_shot_fraction is not None and not 0.0 < self.few_shot_fraction <= 1.0:
+            raise ValueError("few_shot_fraction must lie in (0, 1]")
 
 
 def stratified_split(labels: Array, spec: SplitSpec):

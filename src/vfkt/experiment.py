@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -69,6 +71,7 @@ class DownstreamParams:
             raise ConfigError("n_seeds must be >= 1")
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        SplitSpec(self.train_fraction, self.few_shot_fraction)  # checks both fractions
 
 
 @dataclass(frozen=True)
@@ -98,98 +101,54 @@ class ExperimentConfig:
         for c in self.conditions:
             if c not in CONDITIONS:
                 raise ConfigError(f"unknown condition {c!r}; valid: {CONDITIONS}")
+        # an empty column split means no split, and serializes as null
+        for name in ("ol_columns", "nl_columns"):
+            object.__setattr__(self, name, tuple(getattr(self, name) or ()) or None)
 
     def to_dict(self) -> dict:
-        lk = self.lkt
-        return {
-            "synthetic": self.synthetic.to_dict() if self.synthetic else None,
-            "csv": {
-                "task_path": self.csv.task_path,
-                "data_paths": list(self.csv.data_paths),
-                "id_column": self.csv.id_column,
-                "label_column": self.csv.label_column,
-            } if self.csv else None,
-            "ol_columns": list(self.ol_columns) if self.ol_columns else None,
-            "nl_columns": list(self.nl_columns) if self.nl_columns else None,
-            "standardize_features": self.standardize_features,
-            "frl": {
-                "method": self.frl.method, "block_size": self.frl.block_size,
-                "iter_num": self.frl.iter_num, "period_num": self.frl.period_num,
-                "warm_start": self.frl.warm_start, "rank": self.frl.rank,
-            },
-            "lkt": {
-                "latent_dim": lk.latent_dim, "mi_weight": lk.mi_weight,
-                "beta_recons": lk.beta_recons, "beta_mi": lk.beta_mi,
-                "temperature": lk.temperature, "learning_rate": lk.learning_rate,
-                "batch_size": lk.batch_size, "epochs": lk.epochs,
-                "finetune_epochs": lk.finetune_epochs, "finetune_lr": lk.finetune_lr,
-                "reconstruction_source": lk.reconstruction_source,
-                "hidden_width": lk.hidden_width,
-                "mine_hidden": list(lk.mine_hidden),
-                "mine_activation": lk.mine_activation,
-            },
-            "downstream": {
-                "model": self.downstream.model,
-                "train_fraction": self.downstream.train_fraction,
-                "few_shot_fraction": self.downstream.few_shot_fraction,
-                "n_seeds": self.downstream.n_seeds,
-                "epochs": self.downstream.epochs,
-                "learning_rate": self.downstream.learning_rate,
-            },
-            "conditions": list(self.conditions),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        synth = SyntheticSpec.from_dict(d["synthetic"]) if d.get("synthetic") else None
-        csv_doc = d.get("csv")
-        csv_src = CsvSource(
-            task_path=csv_doc["task_path"],
-            data_paths=tuple(csv_doc["data_paths"]),
-            id_column=csv_doc.get("id_column", "id"),
-            label_column=csv_doc.get("label_column", "y"),
-        ) if csv_doc else None
-        lk = d.get("lkt", {})
-        lkt_cfg = LktConfig(
-            latent_dim=lk.get("latent_dim"), mi_weight=lk.get("mi_weight", 0.1),
-            beta_recons=lk.get("beta_recons"), beta_mi=lk.get("beta_mi"),
-            temperature=lk.get("temperature", 0.5),
-            learning_rate=lk.get("learning_rate", 1e-3),
-            batch_size=lk.get("batch_size", 100), epochs=lk.get("epochs", 30),
-            finetune_epochs=lk.get("finetune_epochs", 5),
-            finetune_lr=lk.get("finetune_lr", 1e-4),
-            reconstruction_source=lk.get("reconstruction_source", "auto"),
-            hidden_width=lk.get("hidden_width"),
-            mine_hidden=tuple(lk.get("mine_hidden", (64, 64))),
-            mine_activation=lk.get("mine_activation", "relu"),
-        )
-        fr = d.get("frl", {})
-        ds = d.get("downstream", {})
-        return cls(
-            synthetic=synth,
-            csv=csv_src,
-            ol_columns=tuple(d["ol_columns"]) if d.get("ol_columns") else None,
-            nl_columns=tuple(d["nl_columns"]) if d.get("nl_columns") else None,
-            standardize_features=d.get("standardize_features", True),
-            frl=FrlParams(method=fr.get("method", "fedsvd"), block_size=fr.get("block_size"),
-                          iter_num=fr.get("iter_num", 100), period_num=fr.get("period_num", 10),
-                          warm_start=fr.get("warm_start", True), rank=fr.get("rank")),
-            lkt=lkt_cfg,
-            downstream=DownstreamParams(
-                model=ds.get("model", "logistic"),
-                train_fraction=ds.get("train_fraction", 0.8),
-                few_shot_fraction=ds.get("few_shot_fraction"),
-                n_seeds=ds.get("n_seeds", 10),
-                epochs=ds.get("epochs"),
-                learning_rate=ds.get("learning_rate")),
-            conditions=tuple(d.get("conditions", ("local", "unitrans"))),
-            seed=d.get("seed", 0),
-        )
+        return from_dict(cls, d)
 
     @property
     def config_hash(self) -> str:
         return config_fingerprint(self.to_dict())
+
+
+def from_dict(cls, doc, path: str = ""):
+    """Build the config dataclass ``cls`` from a JSON object, strictly.
+
+    A missing key takes the field's default; a nested dataclass field is
+    built recursively and a list becomes a tuple for a tuple field. An
+    unknown key, a missing required key, or a section that is not an object
+    raises ConfigError naming its dotted path (``lkt.epoch``).
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config'} must be an object, got {type(doc).__name__}")
+    prefix = f"{path}." if path else ""
+    known = {f.name: f for f in fields(cls)}
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"unknown key {prefix}{key}")
+    for f in known.values():
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key {prefix}{f.name}")
+    hints = get_type_hints(cls)
+    return cls(**{k: _field_value(hints[k], v, prefix + k) for k, v in doc.items()})
+
+
+def _field_value(tp, value, path: str):
+    if isinstance(tp, UnionType):  # T | None
+        if value is None:
+            return None
+        tp = next(a for a in get_args(tp) if a is not type(None))
+    if is_dataclass(tp):
+        return from_dict(tp, value, path)
+    if get_origin(tp) is tuple and isinstance(value, list):
+        return tuple(value)
+    return value
 
 
 @dataclass
@@ -226,31 +185,42 @@ class PipelineResult:
     augmented_columns: int
 
 
+def _pair_frl(cfg: ExperimentConfig, task: PartyState, party: PartyState, k: int,
+              run_seed: int, bus: MessageBus):
+    """PSI, the task's overlap partition and the FRL protocol for pair ``k``
+    (the party's index among all data parties, which seeds the protocol).
+    Returns (task overlap features, federated representation)."""
+    overlap = psi_intersect(task.features.ids, party.features.ids)
+    if overlap.size == 0:
+        raise DataError(
+            f"no overlapping samples with {party.party_id}; "
+            "transfer requires a non-empty intersection")
+    h_t_ol, _, _ = split_partitions(
+        task, overlap, ol_columns=list(cfg.ol_columns) if cfg.ol_columns else None)
+    party_matrices = {
+        task.party_id: h_t_ol.values,
+        party.party_id: party.features.values[overlap.data_rows],
+    }
+    h_fed = run_frl(bus, cfg.frl.method, task.party_id, party_matrices,
+                    overlap, seed=run_seed * 1000 + k,
+                    block_size=cfg.frl.block_size, rank=cfg.frl.rank,
+                    iter_num=cfg.frl.iter_num, period_num=cfg.frl.period_num,
+                    warm_start=cfg.frl.warm_start)
+    return h_t_ol, h_fed
+
+
 def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
-                       h_t_nl: FeatureMatrix, run_seed: int, bus: MessageBus):
-    """Steps 1-2 for every task/data-party pair; returns fine-tuned models."""
+                       h_t_nl: FeatureMatrix, run_seed: int, bus: MessageBus,
+                       first: int = 0):
+    """Steps 1-2 for every task/data-party pair; returns fine-tuned models.
+    ``first`` is the index of the first of ``dataset.data_parties`` among
+    all data parties of the run."""
     lkt_cfg = cfg.lkt
     if condition == "ablation-no-mi":
         lkt_cfg = replace(lkt_cfg, mi_weight=0.0, beta_mi=0.0 if lkt_cfg.beta_mi is not None else None)
     models, h_feds = [], []
-    for k, party in enumerate(dataset.data_parties):
-        overlap = psi_intersect(dataset.task.features.ids, party.features.ids)
-        if overlap.size == 0:
-            raise DataError(
-                f"no overlapping samples with {party.party_id}; "
-                "transfer requires a non-empty intersection")
-        h_t_ol, _, _ = split_partitions(
-            dataset.task, overlap,
-            ol_columns=list(cfg.ol_columns) if cfg.ol_columns else None)
-        party_matrices = {
-            dataset.task.party_id: h_t_ol.values,
-            party.party_id: party.features.values[overlap.data_rows],
-        }
-        h_fed = run_frl(bus, cfg.frl.method, dataset.task.party_id, party_matrices,
-                        overlap, seed=run_seed * 1000 + k,
-                        block_size=cfg.frl.block_size, rank=cfg.frl.rank,
-                        iter_num=cfg.frl.iter_num, period_num=cfg.frl.period_num,
-                        warm_start=cfg.frl.warm_start)
+    for k, party in enumerate(dataset.data_parties, start=first):
+        h_t_ol, h_fed = _pair_frl(cfg, dataset.task, party, k, run_seed, bus)
         # Pair models share the run-level training seed: identical data
         # hospitals then yield identical pre-fine-tune encoders, so any
         # divergence between blocks is attributable to the fine-tune phase.
@@ -373,8 +343,8 @@ def add_data_hospital(models: list, cfg: ExperimentConfig, dataset: Dataset,
     _, h_t_nl = _non_overlap(cfg, dataset.task, dataset.data_parties + [new_party])
     if h_t_nl.columns != models[0].nl_columns:
         raise DataError("non-overlap schema changed since the checkpoint")
-    new_models, new_feds = _train_pair_models(cfg, "ablation-no-cl", extended, h_t_nl,
-                                              run_seed, bus)
+    new_models, _ = _train_pair_models(cfg, "ablation-no-cl", extended, h_t_nl, run_seed,
+                                       bus, first=len(dataset.data_parties))
     all_models = [m.copy() for m in models] + new_models
     # fine-tune over all encoders; targets recomputed from each model's phi
     h_feds = _recover_feds(cfg, dataset, new_party, all_models, run_seed, h_t_nl)
@@ -393,23 +363,9 @@ def _recover_feds(cfg, dataset, new_party, all_models, run_seed, h_t_nl):
     """Local (offline) recomputation of per-pair federated representations
     for fine-tuning targets: reruns no cross-party protocol, it reuses the
     task party's stored overlap blocks."""
-    feds = []
     silent = MessageBus()
-    for k, party in enumerate(dataset.data_parties + [new_party]):
-        overlap = psi_intersect(dataset.task.features.ids, party.features.ids)
-        h_t_ol, _, _ = split_partitions(
-            dataset.task, overlap,
-            ol_columns=list(cfg.ol_columns) if cfg.ol_columns else None)
-        party_matrices = {
-            dataset.task.party_id: h_t_ol.values,
-            party.party_id: party.features.values[overlap.data_rows],
-        }
-        feds.append(run_frl(silent, cfg.frl.method, dataset.task.party_id, party_matrices,
-                            overlap, seed=run_seed * 1000 + k,
-                            block_size=cfg.frl.block_size, rank=cfg.frl.rank,
-                            iter_num=cfg.frl.iter_num, period_num=cfg.frl.period_num,
-                            warm_start=cfg.frl.warm_start))
-    return feds
+    return [_pair_frl(cfg, dataset.task, party, k, run_seed, silent)[1]
+            for k, party in enumerate(dataset.data_parties + [new_party])]
 
 
 SWEEP_AXES = ("task_features", "data_features", "overlap_count", "num_data_hospitals")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import FeatureMatrix
 from .frl import FederatedRepresentation
-from .numerics import AdamState, Array, DenseNet, logmeanexp, softmax_rows
+from .numerics import ACTIVATIONS, AdamState, Array, DenseNet, logmeanexp, softmax_rows
 
 CHECKPOINT_VERSION = 1
 
@@ -51,9 +51,22 @@ class LktConfig:
     mine_hidden: tuple[int, int] = (64, 64)
     mine_activation: str = "relu"
 
-    def loss_weights(self) -> tuple[float, float]:
+    def __post_init__(self):
+        self.mine_hidden = tuple(self.mine_hidden)
         if (self.beta_recons is None) != (self.beta_mi is None):
             raise ValueError("beta_recons and beta_mi must be set together")
+        if self.reconstruction_source not in ("auto", "overlap", "local"):
+            raise ValueError(f"unknown reconstruction_source {self.reconstruction_source!r}")
+        if self.mine_activation not in ACTIVATIONS:
+            raise ValueError(f"unknown mine_activation {self.mine_activation!r}")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be > 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+
+    def loss_weights(self) -> tuple[float, float]:
         if self.beta_recons is not None:
             return float(self.beta_recons), float(self.beta_mi)
         return 1.0, float(self.mi_weight)

@@ -175,6 +175,9 @@ def logmeanexp(x: Array) -> float:
 # Dense networks with explicit backprop and Adam
 # ---------------------------------------------------------------------------
 
+ACTIVATIONS = ("sigmoid", "relu", "tanh", "linear")
+
+
 def _act(name: str, z: Array) -> Array:
     """Activation of ``z``; relu overwrites ``z`` with its output."""
     if name == "sigmoid":
@@ -285,7 +288,7 @@ class DenseNet:
         if len(sizes) < 2 or len(activations) != len(sizes) - 1:
             raise ValueError("sizes/activations mismatch")
         for act in activations:
-            if act not in ("sigmoid", "relu", "tanh", "linear"):
+            if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         rng = _rng(rng)
         layers = []

@@ -40,28 +40,6 @@ class SyntheticSpec:
             raise ValueError("feature counts must be positive")
         object.__setattr__(self, "data_features", tuple(self.data_features))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_task_samples": self.n_task_samples,
-            "overlap_count": self.overlap_count,
-            "task_features": self.task_features,
-            "data_features": list(self.data_features),
-            "latent_dim": self.latent_dim,
-            "label_coords": self.label_coords,
-            "task_signal": self.task_signal,
-            "noise": self.noise,
-            "label_noise": self.label_noise,
-            "redundant_hospitals": self.redundant_hospitals,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        d = dict(d)
-        if "data_features" in d:
-            d["data_features"] = tuple(d["data_features"])
-        return cls(**d)
-
 
 def _view_matrix(rng, latent_dim, n_features, label_coords, label_gain):
     a = rng.standard_normal((latent_dim, n_features))

@@ -59,6 +59,13 @@ class TestStratifiedSplit:
         np.testing.assert_array_equal(few_test, full_test)
         assert set(few_train) <= set(full_train)
 
+    def test_full_few_shot_keeps_every_training_row(self):
+        y = np.array([0] * 50 + [1] * 50)
+        full = stratified_split(y, SplitSpec(seed=3))
+        few = stratified_split(y, SplitSpec(few_shot_fraction=1.0, seed=3))
+        for a, b in zip(few, full):
+            np.testing.assert_array_equal(a, b)
+
     def test_deterministic_per_seed(self):
         y = np.arange(60) % 3
         a = stratified_split(y, SplitSpec(seed=5))

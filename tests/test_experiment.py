@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from vfkt import lkt
 from vfkt.cli import main
 from vfkt.data import DataError, PartyState, standardize
 from vfkt.experiment import (
@@ -15,10 +17,12 @@ from vfkt.experiment import (
     ExperimentConfig,
     FrlParams,
     add_data_hospital,
+    from_dict,
     prepare_dataset,
     render_reports,
     run_condition,
     run_experiment,
+    run_pipeline_once,
     sweep,
 )
 from vfkt.lkt import LktConfig
@@ -76,7 +80,7 @@ def _all_fields_config():
 class TestSyntheticSpec:
     def test_dict_round_trip(self):
         spec = SyntheticSpec(data_features=(5, 7), redundant_hospitals=True)
-        assert SyntheticSpec.from_dict(spec.to_dict()) == spec
+        assert from_dict(SyntheticSpec, json.loads(json.dumps(asdict(spec)))) == spec
 
     def test_validation(self):
         with pytest.raises(ValueError, match="overlap_count"):
@@ -134,6 +138,46 @@ class TestExperimentConfig:
                                              data_paths=("a.csv", "b.csv")))
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("make", [_tiny_config, _csv_config, _all_fields_config])
+    def test_json_round_trip(self, make):
+        cfg = make()
+        assert from_dict(ExperimentConfig, asdict(cfg)) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_missing_keys_and_sections_take_defaults(self):
+        doc = {"synthetic": {"seed": 4}, "lkt": {"epochs": 3}}
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg == ExperimentConfig(synthetic=SyntheticSpec(seed=4),
+                                       lkt=LktConfig(epochs=3))
+
+    @pytest.mark.parametrize("make, edit, path", [
+        (_tiny_config, {"sed": 1}, "sed"),
+        (_tiny_config, {"synthetic": {"sed": 1}}, "synthetic.sed"),
+        (_csv_config, {"csv": {"task_path": "t.csv", "data_path": []}}, "csv.data_path"),
+        (_tiny_config, {"frl": {"iter": 5}}, "frl.iter"),
+        (_tiny_config, {"lkt": {"epoch": 5}}, "lkt.epoch"),
+        (_tiny_config, {"downstream": {"n_seed": 1}}, "downstream.n_seed"),
+    ])
+    def test_unknown_key_rejected_by_dotted_path(self, make, edit, path):
+        with pytest.raises(ConfigError, match=f"unknown key {path}$"):
+            ExperimentConfig.from_dict({**make().to_dict(), **edit})
+
+    def test_missing_required_key_rejected(self):
+        doc = {"csv": {"data_paths": ["a.csv"]}}
+        with pytest.raises(ConfigError, match="missing required key csv.task_path"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("edit, path", [
+        ({"lkt": 5}, "lkt"), ({"frl": None}, "frl"), ({"synthetic": [1]}, "synthetic"),
+    ])
+    def test_section_must_be_an_object(self, edit, path):
+        with pytest.raises(ConfigError, match=f"{path} must be an object"):
+            ExperimentConfig.from_dict({**_tiny_config().to_dict(), **edit})
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="config must be an object"):
+            ExperimentConfig.from_dict([])
+
     def test_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
             ExperimentConfig()
@@ -144,6 +188,27 @@ class TestExperimentConfig:
     def test_unknown_condition(self):
         with pytest.raises(ConfigError, match="unknown condition"):
             _tiny_config(conditions=("local", "magic"))
+
+    @pytest.mark.parametrize("section, bad, match", [
+        ("lkt", {"reconstruction_source": "foo"}, "reconstruction_source"),
+        ("lkt", {"batch_size": 1}, "batch_size"),
+        ("lkt", {"temperature": 0.0}, "temperature"),
+        ("lkt", {"temperature": -0.5}, "temperature"),
+        ("lkt", {"epochs": 0}, "epochs"),
+        ("lkt", {"mine_activation": "gelu"}, "mine_activation"),
+        ("lkt", {"beta_recons": 2.0}, "together"),
+        ("lkt", {"beta_mi": 0.5}, "together"),
+        ("downstream", {"train_fraction": 0.0}, "train_fraction"),
+        ("downstream", {"train_fraction": 1.0}, "train_fraction"),
+        ("downstream", {"few_shot_fraction": 0.0}, "few_shot_fraction"),
+        ("downstream", {"few_shot_fraction": 1.5}, "few_shot_fraction"),
+    ])
+    def test_invalid_lkt_and_downstream(self, section, bad, match):
+        cls = {"lkt": LktConfig, "downstream": DownstreamParams}[section]
+        with pytest.raises(ValueError, match=match):
+            cls(**bad)
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict({**_tiny_config().to_dict(), section: bad})
 
     def test_invalid_downstream(self):
         with pytest.raises(ConfigError, match="downstream model"):
@@ -237,8 +302,6 @@ class TestPipeline:
 
     def test_augmentation_widens_features(self):
         cfg = _tiny_config()
-        from vfkt.experiment import run_pipeline_once
-
         ds = prepare_dataset(cfg)
         local = run_pipeline_once(cfg, "local", ds, run_seed=0)
         uni = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
@@ -251,21 +314,22 @@ class TestPipeline:
             run_condition(_tiny_config(), "magic")
 
 
+def _new_party(ds):
+    rng = np.random.default_rng(9)
+    feats = ds.data_parties[0].features
+    return PartyState(
+        party_id="data-new", role="data",
+        features=standardize(
+            type(feats)(ids=feats.ids, columns=tuple(f"n{j}" for j in range(4)),
+                        values=rng.normal(size=feats.values.shape)))[0])
+
+
 class TestAddDataHospital:
     def test_one_new_protocol_run_and_refinetune(self):
         cfg = _tiny_config()
         ds = prepare_dataset(cfg)
-        from vfkt.experiment import run_pipeline_once
-
         base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
-        rng = np.random.default_rng(9)
-        new_feats = ds.data_parties[0].features
-        new_party = PartyState(
-            party_id="data-new", role="data",
-            features=standardize(
-                type(new_feats)(ids=new_feats.ids,
-                                columns=tuple(f"n{j}" for j in range(4)),
-                                values=rng.normal(size=new_feats.values.shape)))[0])
+        new_party = _new_party(ds)
         models, bus = add_data_hospital(base.models, cfg, ds, new_party, run_seed=0)
         assert len(models) == len(base.models) + 1
         assert models[-1].provenance == "data-new"
@@ -274,11 +338,31 @@ class TestAddDataHospital:
         # existing pair models were not retrained (same pre-fine-tune phi)
         np.testing.assert_array_equal(models[0].phi, base.models[0].phi)
 
+    def test_new_pair_finetunes_against_the_representation_it_trained_on(self, monkeypatch):
+        cfg = _tiny_config()
+        assert cfg.frl.method == "fedsvd"  # its column signs follow the FRL seed
+        ds = prepare_dataset(cfg)
+        base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+        trained, finetuned = [], []
+        real_train, real_finetune = lkt.lkt_train, lkt.lkt_finetune_contrastive
+
+        def train(h_t_ol, h_t_nl, h_fed, *args, **kwargs):
+            trained.append(h_fed.matrix)
+            return real_train(h_t_ol, h_t_nl, h_fed, *args, **kwargs)
+
+        def finetune(models, h_t_nl, h_feds, *args, **kwargs):
+            finetuned.append([h.matrix for h in h_feds])
+            return real_finetune(models, h_t_nl, h_feds, *args, **kwargs)
+
+        monkeypatch.setattr(lkt, "lkt_train", train)
+        monkeypatch.setattr(lkt, "lkt_finetune_contrastive", finetune)
+        add_data_hospital(base.models, cfg, ds, _new_party(ds), run_seed=0)
+        assert len(trained) == 1 and len(finetuned) == 1
+        np.testing.assert_array_equal(finetuned[0][-1], trained[0])
+
     def test_schema_change_rejected(self):
         cfg = _tiny_config()
         ds = prepare_dataset(cfg)
-        from vfkt.experiment import run_pipeline_once
-
         base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
         base.models[0].nl_columns = ("a", "b", "c", "d")
         with pytest.raises(DataError, match="schema"):
@@ -366,8 +450,8 @@ class TestCli:
     def test_gen_synthetic(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(
-            SyntheticSpec(n_task_samples=20, overlap_count=5,
-                          data_features=(3, 3)).to_dict()))
+            asdict(SyntheticSpec(n_task_samples=20, overlap_count=5,
+                                 data_features=(3, 3)))))
         out = tmp_path / "data"
         assert main(["gen-synthetic", "--spec", str(spec_path),
                      "--out", str(out)]) == 0
@@ -386,6 +470,21 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "ConfigError" in err["error"]
+
+    @pytest.mark.parametrize("command, flag, doc, path", [
+        ("run", "--config", {**_tiny_config().to_dict(), "lkt": {"epoch": 5}}, "lkt.epoch"),
+        ("run", "--config", {**_tiny_config().to_dict(), "synthetic": {"sed": 1}},
+         "synthetic.sed"),
+        ("gen-synthetic", "--spec", {"seed": 1, "sed": 1}, "sed"),
+    ])
+    def test_unknown_key_exits_1(self, tmp_path, capsys, command, flag, doc, path):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, flag, str(doc_path), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == f"ConfigError: unknown key {path}"
+        assert not out.exists()
 
     def test_bad_arguments_exit_2(self, capsys):
         assert main(["sweep", "--config", "c.json", "--axis", "bogus",
