@@ -122,8 +122,9 @@ def from_dict(cls, doc, path: str = ""):
 
     A missing key takes the field's default; a nested dataclass field is
     built recursively and a list becomes a tuple for a tuple field. An
-    unknown key, a missing required key, or a section that is not an object
-    raises ConfigError naming its dotted path (``lkt.epoch``).
+    unknown key, a missing required key, a section that is not an object, or
+    a value whose type is not the field's (a bool is no int, an int is a
+    float) raises ConfigError naming its dotted path (``lkt.epoch``).
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'} must be an object, got {type(doc).__name__}")
@@ -146,8 +147,21 @@ def _field_value(tp, value, path: str):
         tp = next(a for a in get_args(tp) if a is not type(None))
     if is_dataclass(tp):
         return from_dict(tp, value, path)
-    if get_origin(tp) is tuple and isinstance(value, list):
-        return tuple(value)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
+        items = get_args(tp)
+        if items[-1] is Ellipsis:
+            items = (items[0],) * len(value)
+        elif len(items) != len(value):
+            raise ConfigError(f"{path} must have {len(items)} items, got {len(value)}")
+        return tuple(_field_value(t, v, f"{path}[{i}]")
+                     for i, (t, v) in enumerate(zip(items, value)))
+    # bool is an int subclass, so it is rejected outright where it is not
+    # the declared type; an int stays an int in a float field, as written
+    ok = isinstance(value, (int, float) if tp is float else tp)
+    if not ok or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{path} must be {tp.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -185,42 +199,35 @@ class PipelineResult:
     augmented_columns: int
 
 
-def _pair_frl(cfg: ExperimentConfig, task: PartyState, party: PartyState, k: int,
-              run_seed: int, bus: MessageBus):
-    """PSI, the task's overlap partition and the FRL protocol for pair ``k``
-    (the party's index among all data parties, which seeds the protocol).
-    Returns (task overlap features, federated representation)."""
-    overlap = psi_intersect(task.features.ids, party.features.ids)
-    if overlap.size == 0:
-        raise DataError(
-            f"no overlapping samples with {party.party_id}; "
-            "transfer requires a non-empty intersection")
-    h_t_ol, _, _ = split_partitions(
-        task, overlap, ol_columns=list(cfg.ol_columns) if cfg.ol_columns else None)
-    party_matrices = {
-        task.party_id: h_t_ol.values,
-        party.party_id: party.features.values[overlap.data_rows],
-    }
-    h_fed = run_frl(bus, cfg.frl.method, task.party_id, party_matrices,
-                    overlap, seed=run_seed * 1000 + k,
-                    block_size=cfg.frl.block_size, rank=cfg.frl.rank,
-                    iter_num=cfg.frl.iter_num, period_num=cfg.frl.period_num,
-                    warm_start=cfg.frl.warm_start)
-    return h_t_ol, h_fed
-
-
 def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
                        h_t_nl: FeatureMatrix, run_seed: int, bus: MessageBus,
                        first: int = 0):
-    """Steps 1-2 for every task/data-party pair; returns fine-tuned models.
+    """Steps 1-2 for every task/data-party pair: PSI, the task's overlap
+    partition, the FRL protocol and LKT training; returns fine-tuned models.
     ``first`` is the index of the first of ``dataset.data_parties`` among
-    all data parties of the run."""
+    all data parties of the run; a party's index seeds its protocol."""
+    task = dataset.task
     lkt_cfg = cfg.lkt
     if condition == "ablation-no-mi":
         lkt_cfg = replace(lkt_cfg, mi_weight=0.0, beta_mi=0.0 if lkt_cfg.beta_mi is not None else None)
-    models, h_feds = [], []
+    models = []
     for k, party in enumerate(dataset.data_parties, start=first):
-        h_t_ol, h_fed = _pair_frl(cfg, dataset.task, party, k, run_seed, bus)
+        overlap = psi_intersect(task.features.ids, party.features.ids)
+        if overlap.size == 0:
+            raise DataError(
+                f"no overlapping samples with {party.party_id}; "
+                "transfer requires a non-empty intersection")
+        h_t_ol, _, _ = split_partitions(
+            task, overlap, ol_columns=list(cfg.ol_columns) if cfg.ol_columns else None)
+        party_matrices = {
+            task.party_id: h_t_ol.values,
+            party.party_id: party.features.values[overlap.data_rows],
+        }
+        h_fed = run_frl(bus, cfg.frl.method, task.party_id, party_matrices,
+                        overlap, seed=run_seed * 1000 + k,
+                        block_size=cfg.frl.block_size, rank=cfg.frl.rank,
+                        iter_num=cfg.frl.iter_num, period_num=cfg.frl.period_num,
+                        warm_start=cfg.frl.warm_start)
         # Pair models share the run-level training seed: identical data
         # hospitals then yield identical pre-fine-tune encoders, so any
         # divergence between blocks is attributable to the fine-tune phase.
@@ -228,11 +235,10 @@ def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
                                   seed=run_seed * 1000 + 500,
                                   provenance=party.party_id)
         models.append(model)
-        h_feds.append(h_fed)
     if condition != "ablation-no-cl" and len(models) >= 1:
-        models = lkt_mod.lkt_finetune_contrastive(models, h_t_nl, h_feds, lkt_cfg,
+        models = lkt_mod.lkt_finetune_contrastive(models, h_t_nl, lkt_cfg,
                                                   seed=run_seed * 1000 + 999)
-    return models, h_feds
+    return models
 
 
 def _non_overlap(cfg: ExperimentConfig, task: PartyState, parties: list[PartyState]):
@@ -260,7 +266,7 @@ def run_pipeline_once(cfg: ExperimentConfig, condition: str, dataset: Dataset,
     if condition == "local":
         x = h_t_nl.values
     else:
-        models, _ = _train_pair_models(cfg, condition, dataset, h_t_nl, run_seed, bus)
+        models = _train_pair_models(cfg, condition, dataset, h_t_nl, run_seed, bus)
         x = lkt_mod.augment(models, h_t_nl).matrix.values
 
     split = SplitSpec(train_fraction=cfg.downstream.train_fraction,
@@ -331,9 +337,11 @@ def add_data_hospital(models: list, cfg: ExperimentConfig, dataset: Dataset,
                       new_party: PartyState, run_seed: int):
     """Extend an existing run with one more data party.
 
-    Runs the federated step and pair training for the new party only, then
-    reruns contrastive fine-tuning over all encoders. Existing pair models
-    are otherwise untouched. Returns (models, bus).
+    Runs PSI, the federated step and pair training for the new party only,
+    then reruns contrastive fine-tuning over all encoders against each
+    model's stored attention keys. Of the existing data parties only the
+    sample ids are read, and their pair models are otherwise untouched.
+    Returns (models, bus).
     """
     for m in models:
         if tuple(m.nl_columns) != _nl_schema(cfg, dataset):
@@ -343,12 +351,9 @@ def add_data_hospital(models: list, cfg: ExperimentConfig, dataset: Dataset,
     _, h_t_nl = _non_overlap(cfg, dataset.task, dataset.data_parties + [new_party])
     if h_t_nl.columns != models[0].nl_columns:
         raise DataError("non-overlap schema changed since the checkpoint")
-    new_models, _ = _train_pair_models(cfg, "ablation-no-cl", extended, h_t_nl, run_seed,
-                                       bus, first=len(dataset.data_parties))
-    all_models = [m.copy() for m in models] + new_models
-    # fine-tune over all encoders; targets recomputed from each model's phi
-    h_feds = _recover_feds(cfg, dataset, new_party, all_models, run_seed, h_t_nl)
-    all_models = lkt_mod.lkt_finetune_contrastive(all_models, h_t_nl, h_feds, cfg.lkt,
+    new_models = _train_pair_models(cfg, "ablation-no-cl", extended, h_t_nl, run_seed,
+                                    bus, first=len(dataset.data_parties))
+    all_models = lkt_mod.lkt_finetune_contrastive(models + new_models, h_t_nl, cfg.lkt,
                                                   seed=run_seed * 1000 + 999)
     return all_models, bus
 
@@ -357,15 +362,6 @@ def _nl_schema(cfg: ExperimentConfig, dataset: Dataset):
     if cfg.nl_columns:
         return tuple(cfg.nl_columns)
     return dataset.task.features.columns
-
-
-def _recover_feds(cfg, dataset, new_party, all_models, run_seed, h_t_nl):
-    """Local (offline) recomputation of per-pair federated representations
-    for fine-tuning targets: reruns no cross-party protocol, it reuses the
-    task party's stored overlap blocks."""
-    silent = MessageBus()
-    return [_pair_frl(cfg, dataset.task, party, k, run_seed, silent)[1]
-            for k, party in enumerate(dataset.data_parties + [new_party])]
 
 
 SWEEP_AXES = ("task_features", "data_features", "overlap_count", "num_data_hospitals")

@@ -24,7 +24,7 @@ from .data import FeatureMatrix
 from .frl import FederatedRepresentation
 from .numerics import ACTIVATIONS, AdamState, Array, DenseNet, logmeanexp, softmax_rows
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class LktDivergenceError(RuntimeError):
@@ -34,7 +34,7 @@ class LktDivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-@dataclass
+@dataclass(frozen=True)
 class LktConfig:
     latent_dim: int | None = None  # None -> width of the non-overlap table
     mi_weight: float = 0.1  # single-weight mode: loss = recons - mi_weight * mi
@@ -52,7 +52,7 @@ class LktConfig:
     mine_activation: str = "relu"
 
     def __post_init__(self):
-        self.mine_hidden = tuple(self.mine_hidden)
+        object.__setattr__(self, "mine_hidden", tuple(self.mine_hidden))
         if (self.beta_recons is None) != (self.beta_mi is None):
             raise ValueError("beta_recons and beta_mi must be set together")
         if self.reconstruction_source not in ("auto", "overlap", "local"):
@@ -86,6 +86,9 @@ class LktModel:
     recon_columns: tuple[str, ...]
     phi_adam: AdamState | None = None  # set by build_model; a loaded model has none
     history: dict = field(default_factory=dict)
+    # Attention keys std(h_fed) @ phi (|overlap| x d), set when lkt_train
+    # ends: all of the federated representation that fine-tuning reads.
+    keys: Array | None = None
 
     def __post_init__(self):
         if self.enc.output_dim != self.latent_dim or self.phi.shape[1] != self.latent_dim:
@@ -100,6 +103,7 @@ class LktModel:
             recon_columns=self.recon_columns,
             phi_adam=None if self.phi_adam is None else self.phi_adam.copy(),
             history=dict(self.history),
+            keys=None if self.keys is None else self.keys.copy(),
         )
 
 
@@ -123,13 +127,16 @@ def _column_standardize(m: Array) -> Array:
 
 
 def _attention_forward(query: Array, h_fed: Array, phi: Array):
-    d = phi.shape[1]
-    if query.shape[1] != d or h_fed.shape[1] != phi.shape[0]:
+    if query.shape[1] != phi.shape[1] or h_fed.shape[1] != phi.shape[0]:
         raise ValueError(
             f"attention dimension mismatch: query {query.shape}, "
             f"h_fed {h_fed.shape}, phi {phi.shape}")
-    scale = np.sqrt(d)
-    keys = h_fed @ phi  # (m x d), keys double as values
+    return _attend(query, h_fed @ phi)
+
+
+def _attend(query: Array, keys: Array):
+    """Softmax readout of ``keys`` (m x d), which double as values."""
+    scale = np.sqrt(keys.shape[1])
     scores = query @ keys.T
     scores /= scale
     attn = softmax_rows(scores)
@@ -349,6 +356,7 @@ def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
         history["recons"].append(ep_rec / n_batches)
         history["mi"].append(ep_mi / n_batches)
     model.history = history
+    model.keys = fed @ model.phi
     return model
 
 
@@ -384,16 +392,14 @@ def contrastive_loss(models: list[LktModel], x: Array, targets: list[Array], i: 
 
 
 def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
-                             h_feds: list[FederatedRepresentation],
                              config: LktConfig, seed) -> list[LktModel]:
     """Push each pair encoder toward its own readout and away from the others.
 
     Only encoders move; readout targets are frozen at their pre-fine-tune
-    values. With a single pair the loss is identically zero and parameters
-    receive only zero-gradient steps.
+    values, read over each model's stored attention ``keys``. With a single
+    pair the loss is identically zero and parameters receive only
+    zero-gradient steps.
     """
-    if len(models) != len(h_feds):
-        raise ValueError("one federated representation per pair model required")
     models = [m.copy() for m in models]
     n = len(models)
     if n == 1:
@@ -401,10 +407,7 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
         models[0].history = {**models[0].history, "contrastive": history}
         return models
     x = h_t_nl.values
-    targets = [
-        cross_attention(m.enc.forward(x)[0], _column_standardize(h.matrix), m.phi)
-        for m, h in zip(models, h_feds)
-    ]
+    targets = [_attend(m.enc.forward(x)[0], _keys(m))[0] for m in models]
 
     rng = np.random.default_rng(seed)
     tau = models[0].temperature
@@ -436,6 +439,12 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
     for m in models:
         m.history = {**m.history, "contrastive": losses}
     return models
+
+
+def _keys(m: LktModel) -> Array:
+    if m.keys is None:
+        raise ValueError(f"pair model {m.provenance!r} has no attention keys; lkt_train sets them")
+    return m.keys
 
 
 def encoder_redundancy(models: list[LktModel], h_t_nl: FeatureMatrix) -> float:
@@ -501,6 +510,7 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
                 "dec": m.dec.to_dict(),
                 "mine": m.mine.to_dict(),
                 "phi": m.phi.tolist(),
+                "keys": _keys(m).tolist(),
                 "latent_dim": m.latent_dim,
                 "temperature": m.temperature,
                 "weights": list(m.weights),
@@ -521,23 +531,27 @@ def load_models(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}; "
+                         f"this build reads version {CHECKPOINT_VERSION}")
     models = []
     for md in doc["models"]:
         enc = DenseNet.from_dict(md["enc"])
         dec = DenseNet.from_dict(md["dec"])
         mine = DenseNet.from_dict(md["mine"])
         phi = np.asarray(md["phi"], dtype=float)
+        keys = np.asarray(md["keys"], dtype=float)
         if enc.input_dim != len(md["nl_columns"]):
             raise ValueError("checkpoint schema mismatch: encoder input width")
         if dec.output_dim != len(md["recon_columns"]):
             raise ValueError("checkpoint schema mismatch: decoder output width")
-        if enc.output_dim != md["latent_dim"] or phi.shape[1] != md["latent_dim"]:
+        if (enc.output_dim != md["latent_dim"] or phi.shape[1] != md["latent_dim"]
+                or keys.shape[1:] != (md["latent_dim"],)):
             raise ValueError("checkpoint schema mismatch: latent width")
         models.append(LktModel(
             enc=enc, dec=dec, phi=phi, mine=mine,
             latent_dim=int(md["latent_dim"]), temperature=float(md["temperature"]),
             weights=tuple(md["weights"]), provenance=md["provenance"],
             nl_columns=tuple(md["nl_columns"]), recon_columns=tuple(md["recon_columns"]),
+            keys=keys,
         ))
     return models, doc["config_hash"]

@@ -367,13 +367,6 @@ class DenseNet:
             self._adam = AdamState.like(self._params)
         self._params[:] = self._adam.update(self._params, flat, lr, betas, eps)
 
-    def parameters(self) -> list[Array]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.w)
-            out.append(layer.b)
-        return out
-
     def copy(self) -> "DenseNet":
         net = DenseNet([DenseLayer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers])
         net._adam = None if self._adam is None else self._adam.copy()

@@ -371,13 +371,8 @@ def test_criterion_09_updating_contracts():
         columns=dataset.task.features.columns,
         values=np.random.default_rng(1).normal(size=(3, 8)))
     aug = apply_to_new_samples(base.models, fresh)
-    # so is re-running the fine-tune phase against stored representations
-    from vfkt.experiment import _recover_feds
-
-    h_nl = _nl_rows(dataset)
-    feds = _recover_feds(cfg, dataset, dataset.data_parties[0],
-                         base.models * 2, 0, h_nl)
-    lkt_finetune_contrastive(base.models, h_nl, feds[:1], cfg.lkt, seed=0)
+    # so is re-running the fine-tune phase against the stored attention keys
+    lkt_finetune_contrastive(base.models * 2, _nl_rows(dataset), cfg.lkt, seed=0)
     local_ok = len(base.bus.trace) == trace_len and aug.matrix.n_rows == 3
 
     # adding one hospital runs exactly one new protocol execution

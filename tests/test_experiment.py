@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from vfkt.data import DataError, PartyState, standardize
 from vfkt.experiment import (
     ConfigError,
     CsvSource,
+    Dataset,
     DownstreamParams,
     ExperimentConfig,
     FrlParams,
@@ -251,6 +252,34 @@ class TestExperimentConfig:
         assert hashlib.sha256(text.encode()).hexdigest() == json_sha256
         assert cfg.config_hash == config_hash
 
+    def test_lkt_section_is_frozen_and_hashable(self):
+        cfg = _tiny_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.lkt.epochs = 0
+        assert cfg.lkt.epochs == 2
+        assert hash(cfg) == hash(_tiny_config())
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"seed": "0"}, "seed must be int, got str"),
+        ({"seed": True}, "seed must be int, got bool"),
+        ({"lkt": {"epochs": "5"}}, "lkt.epochs must be int, got str"),
+        ({"lkt": {"mine_hidden": 5}}, "lkt.mine_hidden must be a list, got int"),
+        ({"downstream": {"n_seeds": "3"}}, "downstream.n_seeds must be int, got str"),
+    ])
+    def test_scalar_types_checked(self, tmp_path, capsys, bad, message):
+        doc = {**_tiny_config().to_dict(), **bad}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(doc)
+        assert str(exc.value) == message
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == f"ConfigError: {message}"
+
+    def test_int_accepted_for_float_field(self):
+        doc = {**_tiny_config().to_dict(), "lkt": {"temperature": 1}}
+        assert ExperimentConfig.from_dict(doc).lkt.temperature == 1
+
     def test_empty_column_split_serializes_as_unset(self):
         assert _tiny_config(ol_columns=(), nl_columns=()).config_hash == \
             _tiny_config().config_hash
@@ -343,22 +372,35 @@ class TestAddDataHospital:
         assert cfg.frl.method == "fedsvd"  # its column signs follow the FRL seed
         ds = prepare_dataset(cfg)
         base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
-        trained, finetuned = [], []
-        real_train, real_finetune = lkt.lkt_train, lkt.lkt_finetune_contrastive
+        trained = []
+        real_train = lkt.lkt_train
 
         def train(h_t_ol, h_t_nl, h_fed, *args, **kwargs):
             trained.append(h_fed.matrix)
             return real_train(h_t_ol, h_t_nl, h_fed, *args, **kwargs)
 
-        def finetune(models, h_t_nl, h_feds, *args, **kwargs):
-            finetuned.append([h.matrix for h in h_feds])
-            return real_finetune(models, h_t_nl, h_feds, *args, **kwargs)
-
         monkeypatch.setattr(lkt, "lkt_train", train)
-        monkeypatch.setattr(lkt, "lkt_finetune_contrastive", finetune)
-        add_data_hospital(base.models, cfg, ds, _new_party(ds), run_seed=0)
-        assert len(trained) == 1 and len(finetuned) == 1
-        np.testing.assert_array_equal(finetuned[0][-1], trained[0])
+        models, _ = add_data_hospital(base.models, cfg, ds, _new_party(ds), run_seed=0)
+        assert len(trained) == 1
+        new = models[-1]
+        np.testing.assert_array_equal(new.keys, lkt._column_standardize(trained[0]) @ new.phi)
+
+    def test_existing_hospitals_stay_offline(self, tmp_path):
+        # the update reads only the ids of the existing data parties: any
+        # other values under the same ids and shape give the same models
+        cfg = _tiny_config(synthetic=replace(_tiny_config().synthetic, data_features=(4, 3)))
+        ds = prepare_dataset(cfg)
+        base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+        rng = np.random.default_rng(11)
+        redrawn = Dataset(task=ds.task, data_parties=[
+            PartyState(party_id=p.party_id, role="data",
+                       features=replace(p.features, values=rng.normal(size=p.features.values.shape)))
+            for p in ds.data_parties])
+        for name, dataset in (("real", ds), ("redrawn", redrawn)):
+            models, _ = add_data_hospital(base.models, cfg, dataset, _new_party(ds), run_seed=0)
+            lkt.save_models(tmp_path / name / "models.json", models, cfg.config_hash)
+        assert ((tmp_path / "real" / "models.json").read_bytes()
+                == (tmp_path / "redrawn" / "models.json").read_bytes())
 
     def test_schema_change_rejected(self):
         cfg = _tiny_config()

@@ -8,6 +8,7 @@ from vfkt.data import FeatureMatrix, OverlapIndex, standardize
 from vfkt.frl import FederatedRepresentation
 from vfkt.lkt import (
     LktConfig,
+    _column_standardize,
     apply_to_new_samples,
     attention_weights,
     augment,
@@ -266,7 +267,7 @@ class TestFinetune:
 
     def test_single_pair_finetune_is_a_no_op(self):
         models, x, feds, cfg = self._trained_pair()
-        out = lkt_finetune_contrastive(models[:1], x, feds[:1], cfg, seed=0)
+        out = lkt_finetune_contrastive(models[:1], x, cfg, seed=0)
         assert out[0].history["contrastive"] == [0.0] * cfg.finetune_epochs
         np.testing.assert_array_equal(out[0].enc.layers[0].w,
                                       models[0].enc.layers[0].w)
@@ -274,7 +275,7 @@ class TestFinetune:
     def test_inputs_left_untouched(self):
         models, x, feds, cfg = self._trained_pair()
         before = models[0].enc.layers[0].w.copy()
-        lkt_finetune_contrastive(models, x, feds, cfg, seed=0)
+        lkt_finetune_contrastive(models, x, cfg, seed=0)
         np.testing.assert_array_equal(models[0].enc.layers[0].w, before)
 
     def test_finetune_decreases_loss_and_redundancy_of_clones(self):
@@ -282,15 +283,18 @@ class TestFinetune:
         # against different readout targets must separate them
         models, x, feds, cfg = self._trained_pair(seed_a=0, seed_b=0)
         assert encoder_redundancy(models, x) == pytest.approx(1.0)
-        out = lkt_finetune_contrastive(models, x, feds, cfg, seed=0)
+        out = lkt_finetune_contrastive(models, x, cfg, seed=0)
         hist = out[0].history["contrastive"]
         assert hist[-1] < hist[0]
         assert encoder_redundancy(out, x) < 1.0
 
-    def test_length_mismatch(self):
+    def test_keys_come_from_training_and_are_required(self):
         models, x, feds, cfg = self._trained_pair()
-        with pytest.raises(ValueError, match="per pair model"):
-            lkt_finetune_contrastive(models, x, feds[:1], cfg, seed=0)
+        for m, f in zip(models, feds):
+            np.testing.assert_array_equal(m.keys, _column_standardize(f.matrix) @ m.phi)
+        models[1].keys = None
+        with pytest.raises(ValueError, match="'pair-1' has no attention keys"):
+            lkt_finetune_contrastive(models, x, cfg, seed=0)
 
     def test_redundancy_edge_cases(self):
         models, x, _, _ = self._trained_pair()
@@ -353,12 +357,15 @@ class TestAugment:
 class TestCheckpoints:
     def _models(self):
         cfg = LktConfig(latent_dim=2, hidden_width=3, mine_hidden=(3, 3))
-        return [
+        models = [
             build_model(4, 4, 5, cfg, seed=k, provenance=f"pair-{k}",
                         nl_columns=("a", "b", "c", "d"),
                         recon_columns=("a", "b", "c", "d"))
             for k in range(2)
         ]
+        for k, m in enumerate(models):
+            m.keys = np.random.default_rng(10 + k).normal(size=(7, 2))
+        return models
 
     def test_round_trip(self, tmp_path):
         models = self._models()
@@ -371,6 +378,7 @@ class TestCheckpoints:
         for m, l in zip(models, loaded):
             np.testing.assert_array_equal(m.enc.forward(x)[0], l.enc.forward(x)[0])
             np.testing.assert_array_equal(m.phi, l.phi)
+            np.testing.assert_array_equal(m.keys, l.keys)
             assert l.provenance == m.provenance
             assert l.nl_columns == m.nl_columns
 
@@ -395,3 +403,32 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="version"):
             load_models(path)
+
+    def test_keys_round_trip_to_the_bit(self, tmp_path):
+        models = self._models()
+        models[0].keys[:3] = [[1 / 3, -0.0], [5e-324, np.pi], [-1e308, 2.0 ** -52]]
+        path = tmp_path / "models.json"
+        save_models(path, models, config_hash="h")
+        loaded, _ = load_models(path)
+        for m, l in zip(models, loaded):
+            assert l.keys.dtype == m.keys.dtype and l.keys.shape == m.keys.shape
+            assert l.keys.tobytes() == m.keys.tobytes()
+
+    def test_rejects_version_1(self, tmp_path):
+        import json
+
+        path = tmp_path / "models.json"
+        save_models(path, self._models(), config_hash="h")
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        for md in doc["models"]:
+            del md["keys"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="checkpoint version 1; this build reads version 2"):
+            load_models(path)
+
+    def test_model_without_keys_is_not_saved(self, tmp_path):
+        models = self._models()
+        models[1].keys = None
+        with pytest.raises(ValueError, match="'pair-1' has no attention keys"):
+            save_models(tmp_path / "models.json", models, config_hash="h")
