@@ -23,17 +23,27 @@ class ChannelEmpty(RuntimeError):
 
 
 def _payload_fingerprint(payload: Any):
-    """(shape, checksum) of a payload without retaining its content."""
+    """(shape, checksum) of a payload without retaining its content.
+
+    The shape is an array's shape, or a flat tuple/list of arrays' shapes;
+    any other payload that holds an array raises TypeError, so every float
+    that crosses the bus is counted in the trace.
+    """
     h = hashlib.sha256()
     shape: list | None
+    arrays = 0
 
     def feed(obj):
+        nonlocal arrays
         if isinstance(obj, np.ndarray):
+            arrays += 1
             h.update(str(obj.shape).encode())
             h.update(np.ascontiguousarray(obj).tobytes())
         elif isinstance(obj, (tuple, list)):
             for item in obj:
                 feed(item)
+        elif isinstance(obj, dict):
+            feed(list(obj.items()))
         elif obj is None:
             h.update(b"none")
         else:
@@ -46,6 +56,10 @@ def _payload_fingerprint(payload: Any):
     else:
         shape = None
     feed(payload)
+    if shape is None and arrays:
+        raise TypeError(
+            f"payload holds {arrays} array(s) but is neither an array nor a flat "
+            "tuple/list of arrays")
     return shape, h.hexdigest()[:16]
 
 
@@ -69,9 +83,9 @@ class MessageBus:
             open(trace_path, "w").close()
 
     def send(self, sender: str, recipient: str, kind: str, payload: Any) -> None:
+        shape, checksum = _payload_fingerprint(payload)
         msg = BusMessage(sender, recipient, kind, payload)
         self._channels.setdefault((sender, recipient), deque()).append(msg)
-        shape, checksum = _payload_fingerprint(payload)
         record = {"from": sender, "to": recipient, "kind": kind,
                   "shape": shape, "checksum": checksum}
         self.trace.append(record)

@@ -197,13 +197,15 @@ class PipelineResult:
     models: list
     bus: MessageBus
     augmented_columns: int
+    flagged: int = 0  # FRL local runs that did not settle, over all pairs
 
 
 def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
                        h_t_nl: FeatureMatrix, run_seed: int, bus: MessageBus,
                        first: int = 0):
     """Steps 1-2 for every task/data-party pair: PSI, the task's overlap
-    partition, the FRL protocol and LKT training; returns fine-tuned models.
+    partition, the FRL protocol and LKT training. Returns the fine-tuned
+    models and the number of FRL local runs that came back flagged.
     ``first`` is the index of the first of ``dataset.data_parties`` among
     all data parties of the run; a party's index seeds its protocol."""
     task = dataset.task
@@ -211,6 +213,7 @@ def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
     if condition == "ablation-no-mi":
         lkt_cfg = replace(lkt_cfg, mi_weight=0.0, beta_mi=0.0 if lkt_cfg.beta_mi is not None else None)
     models = []
+    flagged = 0
     for k, party in enumerate(dataset.data_parties, start=first):
         overlap = psi_intersect(task.features.ids, party.features.ids)
         if overlap.size == 0:
@@ -228,6 +231,7 @@ def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
                         block_size=cfg.frl.block_size, rank=cfg.frl.rank,
                         iter_num=cfg.frl.iter_num, period_num=cfg.frl.period_num,
                         warm_start=cfg.frl.warm_start)
+        flagged += h_fed.flagged
         # Pair models share the run-level training seed: identical data
         # hospitals then yield identical pre-fine-tune encoders, so any
         # divergence between blocks is attributable to the fine-tune phase.
@@ -238,7 +242,7 @@ def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
     if condition != "ablation-no-cl" and len(models) >= 1:
         models = lkt_mod.lkt_finetune_contrastive(models, h_t_nl, lkt_cfg,
                                                   seed=run_seed * 1000 + 999)
-    return models
+    return models, flagged
 
 
 def _non_overlap(cfg: ExperimentConfig, task: PartyState, parties: list[PartyState]):
@@ -263,10 +267,11 @@ def run_pipeline_once(cfg: ExperimentConfig, condition: str, dataset: Dataset,
     y_nl = dataset.task.labels.select_rows(nl_idx)
 
     models: list = []
+    flagged = 0
     if condition == "local":
         x = h_t_nl.values
     else:
-        models = _train_pair_models(cfg, condition, dataset, h_t_nl, run_seed, bus)
+        models, flagged = _train_pair_models(cfg, condition, dataset, h_t_nl, run_seed, bus)
         x = lkt_mod.augment(models, h_t_nl).matrix.values
 
     split = SplitSpec(train_fraction=cfg.downstream.train_fraction,
@@ -278,7 +283,7 @@ def run_pipeline_once(cfg: ExperimentConfig, condition: str, dataset: Dataset,
                            epochs=cfg.downstream.epochs, lr=cfg.downstream.learning_rate)
     acc = evaluate(clf, x[test_idx], y_nl.labels[test_idx])
     return PipelineResult(accuracy=acc, models=models, bus=bus,
-                          augmented_columns=x.shape[1])
+                          augmented_columns=x.shape[1], flagged=flagged)
 
 
 def run_condition(cfg: ExperimentConfig, condition: str, dataset: Dataset | None = None,
@@ -351,8 +356,8 @@ def add_data_hospital(models: list, cfg: ExperimentConfig, dataset: Dataset,
     _, h_t_nl = _non_overlap(cfg, dataset.task, dataset.data_parties + [new_party])
     if h_t_nl.columns != models[0].nl_columns:
         raise DataError("non-overlap schema changed since the checkpoint")
-    new_models = _train_pair_models(cfg, "ablation-no-cl", extended, h_t_nl, run_seed,
-                                    bus, first=len(dataset.data_parties))
+    new_models, _ = _train_pair_models(cfg, "ablation-no-cl", extended, h_t_nl, run_seed,
+                                       bus, first=len(dataset.data_parties))
     all_models = lkt_mod.lkt_finetune_contrastive(models + new_models, h_t_nl, cfg.lkt,
                                                   seed=run_seed * 1000 + 999)
     return all_models, bus

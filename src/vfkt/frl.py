@@ -6,7 +6,12 @@ party:
   * a masked-factorization protocol: a key generator hands each party the
     same row mask A and a party-specific column-mask slice B_k; parties
     upload A H_k B_k; the server factorizes the concatenation and returns
-    only the left factor, which the task party unmasks with A^T;
+    only the left factor, which the task party unmasks with A^T. A is
+    block-diagonal, with Haar blocks of at most ``MASK_BLOCK`` rows; it is
+    shipped as its blocks and applied block by block, so keygen costs
+    O(|I_ol| b^2), the keys carry |I_ol| b floats, and no |I_ol| x |I_ol|
+    array is ever formed. An overlap of at most ``MASK_BLOCK`` rows gets a
+    single dense Haar block;
   * an eigenvector-aggregation protocol: each party power-iterates its
     local sample-space Gram matrix, applied through its own |I_ol| x f_k
     block and never formed; the server aggregates eigenvector shares
@@ -25,7 +30,10 @@ import numpy as np
 
 from .bus import MessageBus
 from .data import FeatureMatrix, OverlapIndex
-from .numerics import Array, power_iteration, random_orthogonal, svd
+from .numerics import Array, haar_blocks, power_iteration, random_orthogonal, svd
+
+# Rows per diagonal block of the FedSVD row mask when no block size is given.
+MASK_BLOCK = 256
 
 
 class ProtocolError(RuntimeError):
@@ -36,7 +44,7 @@ class ProtocolError(RuntimeError):
 class MaskPair:
     """Row mask shared by all parties plus one party's slice of the column mask."""
 
-    a: Array  # (|I_ol| x |I_ol|), orthogonal
+    a_blocks: tuple[Array, ...]  # diagonal blocks of the orthogonal row mask A, in row order
     b_k: Array  # (|X_k| x |X_fed|)
 
 
@@ -69,8 +77,10 @@ def fedsvd_keygen(overlap_size: int, feature_sizes: list[int], seed,
                   block_size: int | None = None) -> list[MaskPair]:
     """Generate the shared row mask and per-party column-mask slices.
 
-    Each party receives the same A and the rows of B corresponding to its
-    feature block; stacking all slices vertically reconstructs B.
+    Each party receives the same blocks of A, of at most ``block_size``
+    rows (``MASK_BLOCK`` when None), and the rows of B corresponding to its
+    feature block; stacking all slices vertically reconstructs B. B is
+    dense unless ``block_size`` is given.
     """
     if overlap_size < 1:
         raise ProtocolError("overlap_size must be >= 1")
@@ -78,23 +88,39 @@ def fedsvd_keygen(overlap_size: int, feature_sizes: list[int], seed,
         raise ProtocolError("feature sizes must be positive")
     rng = np.random.default_rng(seed)
     total = sum(feature_sizes)
-    a = random_orthogonal(overlap_size, rng, block_size=block_size)
+    a_blocks = tuple(haar_blocks(overlap_size, rng, block_size or MASK_BLOCK))
     b = random_orthogonal(total, rng, block_size=block_size)
     pairs = []
     start = 0
     for f in feature_sizes:
-        pairs.append(MaskPair(a=a, b_k=b[start:start + f, :]))
+        pairs.append(MaskPair(a_blocks=a_blocks, b_k=b[start:start + f, :]))
         start += f
     return pairs
 
 
-def fedsvd_mask(h_k: Array, masks: MaskPair) -> Array:
-    """A @ H_k @ B_k: the only view of party data that ever leaves the party."""
-    h_k = np.asarray(h_k, dtype=float)
-    if masks.a.shape[1] != h_k.shape[0] or h_k.shape[1] != masks.b_k.shape[0]:
+def _row_blocks(a_blocks: tuple[Array, ...], n: int):
+    """(start, stop, block) per diagonal block of A; the blocks must tile n rows."""
+    spans, start = [], 0
+    for block in a_blocks:
+        stop = start + block.shape[0]
+        spans.append((start, stop, block))
+        start = stop
+    if start != n or any(b.shape != (b.shape[0],) * 2 for b in a_blocks):
         raise ProtocolError(
-            f"mask dimension mismatch: A {masks.a.shape}, H {h_k.shape}, B_k {masks.b_k.shape}")
-    return masks.a @ h_k @ masks.b_k
+            f"mask dimension mismatch: A blocks {[b.shape for b in a_blocks]} for {n} rows")
+    return spans
+
+
+def fedsvd_mask(h_k: Array, masks: MaskPair) -> Array:
+    """A @ H_k @ B_k, one block of A at a time: the only view of party data
+    that ever leaves the party."""
+    h_k = np.asarray(h_k, dtype=float)
+    if h_k.shape[1] != masks.b_k.shape[0]:
+        raise ProtocolError(f"mask dimension mismatch: H {h_k.shape}, B_k {masks.b_k.shape}")
+    out = np.empty((h_k.shape[0], masks.b_k.shape[1]))
+    for start, stop, block in _row_blocks(masks.a_blocks, h_k.shape[0]):
+        out[start:stop] = block @ h_k[start:stop] @ masks.b_k
+    return out
 
 
 def fedsvd_server(masked_parts: list[Array]) -> Array:
@@ -108,9 +134,13 @@ def fedsvd_server(masked_parts: list[Array]) -> Array:
     return svd(combined).u
 
 
-def fedsvd_recover(u_hat: Array, a: Array) -> Array:
-    """Unmask the left factor: the row mask commutes out as A^T."""
-    return a.T @ u_hat
+def fedsvd_recover(u_hat: Array, a_blocks: tuple[Array, ...]) -> Array:
+    """Unmask the left factor: the row mask commutes out as A^T, applied
+    one block at a time."""
+    out = np.empty(u_hat.shape)
+    for start, stop, block in _row_blocks(a_blocks, u_hat.shape[0]):
+        out[start:stop] = block.T @ u_hat[start:stop]
+    return out
 
 
 def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
@@ -132,13 +162,13 @@ def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
 
     pairs = fedsvd_keygen(n, sizes, seed, block_size=block_size)
     for pid, pair in zip(order, pairs):
-        bus.send("keygen", pid, "mask_keys", (pair.a, pair.b_k))
+        bus.send("keygen", pid, "mask_keys", (*pair.a_blocks, pair.b_k))
 
     # Each party masks locally and uploads; the server sees only masked blocks.
     for pid in order:
         msg = bus.recv("keygen", pid)
-        a, b_k = msg.payload
-        masked = fedsvd_mask(party_matrices[pid], MaskPair(a=a, b_k=b_k))
+        *a_blocks, b_k = msg.payload
+        masked = fedsvd_mask(party_matrices[pid], MaskPair(a_blocks=tuple(a_blocks), b_k=b_k))
         bus.send(pid, "server", "masked_part", masked)
 
     parts = [bus.recv(pid, "server").payload for pid in order]
@@ -146,7 +176,7 @@ def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
     bus.send("server", task_id, "factor_u", u_hat)
 
     u_hat = bus.recv("server", task_id).payload
-    h_fed = fedsvd_recover(u_hat, pairs[order.index(task_id)].a)
+    h_fed = fedsvd_recover(u_hat, pairs[order.index(task_id)].a_blocks)
     # Each masked part spans the full joint feature width, so the stacked
     # system carries |X_fed| trailing zero singular values; only the leading
     # min(|I_ol|, |X_fed|) columns are meaningful.

@@ -71,23 +71,36 @@ def svd(m: Array) -> SvdResult:
 def random_orthogonal(n: int, seed, block_size: int | None = None) -> Array:
     """Haar-distributed random orthogonal matrix via sign-corrected QR.
 
-    With ``block_size`` set, returns a block-diagonal orthogonal matrix whose
-    blocks are Haar (cheaper for large n, weaker mixing).
+    With ``block_size`` set, returns the block-diagonal orthogonal matrix
+    assembled from ``haar_blocks`` (cheaper for large n, weaker mixing).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if block_size is not None and block_size < 1:
+    rng = _rng(seed)
+    if block_size is None:
+        return _haar(n, rng)
+    q = np.zeros((n, n))
+    start = 0
+    for block in haar_blocks(n, rng, block_size):
+        stop = start + block.shape[0]
+        q[start:stop, start:stop] = block
+        start = stop
+    return q
+
+
+def haar_blocks(n: int, seed, block_size: int) -> list[Array]:
+    """The diagonal blocks of a block-diagonal Haar orthogonal n x n matrix.
+
+    Blocks of ``block_size`` rows (the last one smaller when it does not
+    divide n) are drawn in order from one generator, so ``n <= block_size``
+    gives the single block ``random_orthogonal(n, seed)``.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if block_size < 1:
         raise ValueError("block_size must be >= 1")
     rng = _rng(seed)
-    if block_size is not None and block_size < n:
-        q = np.zeros((n, n))
-        start = 0
-        while start < n:
-            b = min(block_size, n - start)
-            q[start : start + b, start : start + b] = _haar(b, rng)
-            start += b
-        return q
-    return _haar(n, rng)
+    return [_haar(min(block_size, n - start), rng) for start in range(0, n, block_size)]
 
 
 def _haar(n: int, rng: np.random.Generator) -> Array:

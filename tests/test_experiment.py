@@ -342,6 +342,19 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="unknown condition"):
             run_condition(_tiny_config(), "magic")
 
+    def test_unsettled_power_iterations_reach_the_result(self, tmp_path):
+        # two local iterations cannot settle; FedSVD runs no power iteration
+        cfg = _tiny_config(frl=FrlParams(method="vfedpca", iter_num=2),
+                           downstream=DownstreamParams(n_seeds=1, epochs=5))
+        ds = prepare_dataset(cfg)
+        assert run_pipeline_once(cfg, "unitrans", ds, run_seed=0).flagged > 0
+        assert run_pipeline_once(cfg, "local", ds, run_seed=0).flagged == 0
+        fed = replace(cfg, frl=FrlParams(method="fedsvd"))
+        assert run_pipeline_once(fed, "unitrans", ds, run_seed=0).flagged == 0
+        # the count stays out of the reports
+        run_experiment(cfg, out_dir=tmp_path)
+        assert "flagged" not in (tmp_path / "report_unitrans.json").read_text()
+
 
 def _new_party(ds):
     rng = np.random.default_rng(9)

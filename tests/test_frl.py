@@ -8,8 +8,8 @@ import pytest
 from vfkt.bus import ChannelEmpty, MessageBus
 from vfkt.data import OverlapIndex
 from vfkt.frl import (
+    MASK_BLOCK,
     EigenShare,
-    MaskPair,
     ProtocolError,
     fedsvd_keygen,
     fedsvd_mask,
@@ -23,6 +23,7 @@ from vfkt.frl import (
     vfedpca_local,
     vfedpca_reconstruct,
 )
+from vfkt.numerics import random_orthogonal
 
 
 def _overlap(n):
@@ -36,6 +37,18 @@ def _overlap(n):
 def _parties(n=20, sizes=(4, 3, 5), seed=0):
     rng = np.random.default_rng(seed)
     return {f"p{k}": rng.normal(size=(n, f)) for k, f in enumerate(sizes)}
+
+
+def _dense_a(pair):
+    """The block-diagonal row mask A assembled from a party's mask blocks."""
+    n = sum(b.shape[0] for b in pair.a_blocks)
+    a = np.zeros((n, n))
+    start = 0
+    for block in pair.a_blocks:
+        stop = start + block.shape[0]
+        a[start:stop, start:stop] = block
+        start = stop
+    return a
 
 
 def _align_columns(u, ref):
@@ -77,6 +90,27 @@ class TestBus:
         lines = path.read_text().strip().splitlines()
         assert [json.loads(ln)["kind"] for ln in lines] == ["k", "k2"]
 
+    @pytest.mark.parametrize("payload", [
+        (np.ones(2), 3.0),  # mixed
+        ((np.ones(2), np.ones(3)), np.ones(4)),  # nested
+        [[np.ones((2, 2))]],
+        {"a": np.ones(2)},
+    ])
+    def test_payload_with_untraceable_arrays_is_refused(self, payload):
+        # every float that crosses the bus must be counted by the trace shape
+        bus = MessageBus()
+        with pytest.raises(TypeError, match="flat tuple/list of arrays"):
+            bus.send("a", "b", "blob", payload)
+        assert bus.trace == []
+        with pytest.raises(ChannelEmpty):
+            bus.recv("a", "b")
+
+    def test_flat_array_tuple_and_array_free_payloads_are_traced(self):
+        bus = MessageBus()
+        bus.send("a", "b", "k", (np.ones((2, 2)), np.ones(3)))
+        bus.send("a", "b", "k", ("fedsvd", 3, None))
+        assert [r["shape"] for r in bus.trace] == [[[2, 2], [3]], None]
+
     def test_trace_queries(self):
         bus = MessageBus()
         bus.send("a", "srv", "x", 1)
@@ -88,12 +122,26 @@ class TestBus:
 class TestFedSvdSteps:
     def test_keygen_masks_are_orthogonal(self):
         pairs = fedsvd_keygen(8, [3, 5], seed=0)
-        a = pairs[0].a
+        a = _dense_a(pairs[0])
         np.testing.assert_allclose(a @ a.T, np.eye(8), atol=1e-10)
-        assert all(np.array_equal(p.a, a) for p in pairs)
+        assert all(p.a_blocks is pairs[0].a_blocks for p in pairs)
         b = np.vstack([p.b_k for p in pairs])
         np.testing.assert_allclose(b @ b.T, np.eye(8), atol=1e-10)
         assert [p.b_k.shape for p in pairs] == [(3, 8), (5, 8)]
+
+    @pytest.mark.parametrize("n", [1, 80, 200, MASK_BLOCK])
+    def test_one_block_is_the_dense_haar_mask(self, n):
+        # up to one block, A is exactly the dense Haar mask of the same seed
+        (a,) = fedsvd_keygen(n, [3, 4], seed=11)[0].a_blocks
+        np.testing.assert_array_equal(a, random_orthogonal(n, np.random.default_rng(11)))
+
+    def test_large_overlap_is_split_into_blocks(self):
+        pair = fedsvd_keygen(2 * MASK_BLOCK + 7, [3], seed=0)[0]
+        assert [b.shape for b in pair.a_blocks] == [(MASK_BLOCK,) * 2] * 2 + [(7, 7)]
+        a = _dense_a(pair)
+        np.testing.assert_allclose(a @ a.T, np.eye(a.shape[0]), atol=1e-10)
+        assert [b.shape for b in fedsvd_keygen(100, [3], 0, block_size=40)[0].a_blocks] == \
+            [(40, 40), (40, 40), (20, 20)]
 
     def test_keygen_rejects_bad_sizes(self):
         with pytest.raises(ProtocolError):
@@ -107,6 +155,10 @@ class TestFedSvdSteps:
         pairs = fedsvd_keygen(4, [3], seed=1)
         with pytest.raises(ProtocolError, match="mismatch"):
             fedsvd_mask(np.ones((4, 2)), pairs[0])
+        with pytest.raises(ProtocolError, match="mismatch"):
+            fedsvd_mask(np.ones((5, 3)), pairs[0])
+        with pytest.raises(ProtocolError, match="mismatch"):
+            fedsvd_recover(np.ones((5, 2)), pairs[0].a_blocks)
 
     def test_masking_preserves_singular_values(self):
         rng = np.random.default_rng(2)
@@ -127,23 +179,34 @@ class TestFedSvdSteps:
             fedsvd_server([])
 
     def test_recover_inverts_row_mask(self):
-        pairs = fedsvd_keygen(5, [2], seed=4)
-        u = np.random.default_rng(0).normal(size=(5, 3))
-        np.testing.assert_allclose(fedsvd_recover(pairs[0].a @ u, pairs[0].a), u, atol=1e-12)
+        for n, block_size in [(5, None), (MASK_BLOCK + 44, None), (100, 40)]:
+            pair = fedsvd_keygen(n, [2], seed=4, block_size=block_size)[0]
+            u = np.random.default_rng(0).normal(size=(n, 3))
+            np.testing.assert_allclose(fedsvd_recover(_dense_a(pair) @ u, pair.a_blocks), u,
+                                       atol=1e-12)
+
+    def test_mask_applies_the_dense_mask_block_by_block(self):
+        for n, block_size in [(5, None), (MASK_BLOCK + 44, None), (100, 40)]:
+            pair = fedsvd_keygen(n, [2, 3], seed=4, block_size=block_size)[1]
+            h = np.random.default_rng(0).normal(size=(n, 3))
+            np.testing.assert_allclose(fedsvd_mask(h, pair), _dense_a(pair) @ h @ pair.b_k,
+                                       atol=1e-12)
 
     def test_masked_upload_hides_raw_data(self):
         # [DERIVED] privacy smoke test: across seeds, the server-visible
-        # block must not resemble the raw party block.
-        failures = 0
-        rng = np.random.default_rng(123)
-        for seed in range(12):
-            h = rng.normal(size=(15, 4))
-            pair = fedsvd_keygen(15, [4], seed=seed)[0]
-            masked = fedsvd_mask(h, pair)
-            rel = np.linalg.norm(masked[:, :4] - h) / np.linalg.norm(h)
-            if rel < 0.1:
-                failures += 1
-        assert failures <= 1
+        # block must not resemble the raw party block, also when the row
+        # mask has more than one block.
+        for n in (15, MASK_BLOCK + 44):
+            failures = 0
+            rng = np.random.default_rng(123)
+            for seed in range(12):
+                h = rng.normal(size=(n, 4))
+                pair = fedsvd_keygen(n, [4], seed=seed)[0]
+                masked = fedsvd_mask(h, pair)
+                rel = np.linalg.norm(masked[:, :4] - h) / np.linalg.norm(h)
+                if rel < 0.1:
+                    failures += 1
+            assert failures <= 1, n
 
 
 class TestFedSvdProtocol:
@@ -161,6 +224,49 @@ class TestFedSvdProtocol:
         np.testing.assert_allclose(
             _align_columns(rep.matrix, u_ref), u_ref, atol=1e-8)
         assert rep.method == "fedsvd"
+
+    @pytest.mark.parametrize("block_size", [None, 40])
+    def test_matches_centralized_svd_across_mask_blocks(self, block_size):
+        n = 2 * MASK_BLOCK + 88
+        parties = _parties(n=n, sizes=(6, 5), seed=3)
+        raw = np.hstack(list(parties.values()))
+        pairs = fedsvd_keygen(n, [6, 5], seed=9, block_size=block_size)
+        assert len(pairs[0].a_blocks) == -(-n // (block_size or MASK_BLOCK))
+        masked = np.hstack([fedsvd_mask(h, p) for h, p in zip(parties.values(), pairs)])
+        s_masked = np.linalg.svd(masked, compute_uv=False)[:11]
+        u_ref, s_ref, _ = np.linalg.svd(raw, full_matrices=False)
+        np.testing.assert_allclose(s_masked, s_ref, rtol=0, atol=1e-10 * s_ref[0])
+        rep = run_fedsvd(MessageBus(), "p0", parties, _overlap(n), seed=9,
+                         block_size=block_size)
+        assert rep.matrix.shape == (n, 11)
+        np.testing.assert_allclose(_align_columns(rep.matrix, u_ref), u_ref, atol=1e-8)
+
+    def test_mask_keys_carry_the_blocks_not_a_dense_mask(self):
+        n, sizes = 1200, (16, 10)
+        bus = MessageBus()
+        run_fedsvd(bus, "p0", _parties(n=n, sizes=sizes), _overlap(n), seed=0)
+        records = bus.messages_of_kind("mask_keys")
+        assert len(records) == len(sizes)
+        total_f = sum(sizes)
+        for rec, f in zip(records, sizes):
+            *blocks, b_k = rec["shape"]
+            assert blocks == [[MASK_BLOCK] * 2] * 4 + [[176, 176]]
+            assert b_k == [f, total_f]
+            elems = sum(int(np.prod(s)) for s in rec["shape"])
+            assert elems <= n * MASK_BLOCK + total_f ** 2 < n * n
+
+    def test_large_overlap_never_forms_a_dense_mask(self):
+        # a dense 3000 x 3000 mask alone would take 72 MB
+        n = 3000
+        parties = _parties(n=n, sizes=(8, 8), seed=1)
+        tracemalloc.start()
+        try:
+            rep = run_fedsvd(MessageBus(), "p0", parties, _overlap(n), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.matrix.shape == (n, 16)
+        assert peak < 16_000_000  # the mask blocks themselves are 6 MB
 
     def test_rank_truncation(self):
         parties = _parties(n=12, sizes=(3, 3), seed=1)

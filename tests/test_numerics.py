@@ -8,6 +8,7 @@ from vfkt.numerics import (
     DenseNet,
     PowerIterationResult,
     SvdConvergenceError,
+    haar_blocks,
     logmeanexp,
     power_iteration,
     random_orthogonal,
@@ -130,6 +131,21 @@ class TestRandomOrthogonal:
         assert np.all(q[:4, 4:] == 0)
         assert np.all(q[4:8, :4] == 0)
         assert np.all(q[4:8, 8:] == 0)
+
+    def test_blocks_are_the_diagonal_of_the_assembled_matrix(self):
+        blocks = haar_blocks(10, np.random.default_rng(5), 4)
+        assert [b.shape for b in blocks] == [(4, 4), (4, 4), (2, 2)]
+        q = random_orthogonal(10, np.random.default_rng(5), block_size=4)
+        for i, b in enumerate(blocks):
+            np.testing.assert_array_equal(q[4 * i:4 * i + b.shape[0], 4 * i:4 * i + b.shape[0]], b)
+            np.testing.assert_allclose(b @ b.T, np.eye(b.shape[0]), atol=1e-12)
+
+    def test_one_block_when_block_size_covers_n(self):
+        for block_size in (6, 7, None):
+            np.testing.assert_array_equal(random_orthogonal(6, seed=2, block_size=block_size),
+                                          random_orthogonal(6, seed=2))
+        (block,) = haar_blocks(6, 2, 6)
+        np.testing.assert_array_equal(block, random_orthogonal(6, seed=2))
 
 
 class TestPowerIteration:
