@@ -3,14 +3,12 @@
 Channels are ordered FIFO queues keyed by (sender, recipient). Every send
 is recorded in a trace as {from, to, kind, shape, checksum} -- never the
 payload itself -- so privacy properties (who saw what kind of message) can
-be asserted from the trace alone, and optionally streamed to a JSON-lines
-sink for audit.
+be asserted from the trace alone.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
@@ -74,24 +72,16 @@ class BusMessage:
 class MessageBus:
     """Ordered, reliable, in-memory point-to-point channels with tracing."""
 
-    def __init__(self, trace_path=None):
+    def __init__(self):
         self._channels: dict[tuple[str, str], deque[BusMessage]] = {}
         self.trace: list[dict] = []
-        self._trace_path = trace_path
-        if trace_path is not None:
-            # truncate any stale trace
-            open(trace_path, "w").close()
 
     def send(self, sender: str, recipient: str, kind: str, payload: Any) -> None:
         shape, checksum = _payload_fingerprint(payload)
         msg = BusMessage(sender, recipient, kind, payload)
         self._channels.setdefault((sender, recipient), deque()).append(msg)
-        record = {"from": sender, "to": recipient, "kind": kind,
-                  "shape": shape, "checksum": checksum}
-        self.trace.append(record)
-        if self._trace_path is not None:
-            with open(self._trace_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self.trace.append({"from": sender, "to": recipient, "kind": kind,
+                           "shape": shape, "checksum": checksum})
 
     def recv(self, sender: str, recipient: str) -> BusMessage:
         chan = self._channels.get((sender, recipient))

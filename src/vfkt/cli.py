@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .data import write_csv
 from .downstream import RunReport
-from .experiment import ExperimentConfig, from_dict, render_reports, run_experiment, sweep
+from .experiment import (SWEEP_AXES, ExperimentConfig, from_dict, render_reports,
+                         run_experiment, sweep)
 from .synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -88,9 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis of a config")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True,
-                         choices=["task_features", "data_features",
-                                  "overlap_count", "num_data_hospitals"])
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated integers")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -200,21 +200,17 @@ class PipelineResult:
     flagged: int = 0  # FRL local runs that did not settle, over all pairs
 
 
-def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
-                       h_t_nl: FeatureMatrix, run_seed: int, bus: MessageBus,
-                       first: int = 0):
+def _train_pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, task: PartyState,
+                       parties: list[PartyState], h_t_nl: FeatureMatrix, run_seed: int,
+                       bus: MessageBus, first: int = 0):
     """Steps 1-2 for every task/data-party pair: PSI, the task's overlap
-    partition, the FRL protocol and LKT training. Returns the fine-tuned
-    models and the number of FRL local runs that came back flagged.
-    ``first`` is the index of the first of ``dataset.data_parties`` among
-    all data parties of the run; a party's index seeds its protocol."""
-    task = dataset.task
-    lkt_cfg = cfg.lkt
-    if condition == "ablation-no-mi":
-        lkt_cfg = replace(lkt_cfg, mi_weight=0.0, beta_mi=0.0 if lkt_cfg.beta_mi is not None else None)
+    partition, the FRL protocol and LKT training. Returns the models before
+    any fine-tune and the number of FRL local runs that came back flagged.
+    ``first`` is the index of the first of ``parties`` among all data
+    parties of the run; a party's index seeds its protocol."""
     models = []
     flagged = 0
-    for k, party in enumerate(dataset.data_parties, start=first):
+    for k, party in enumerate(parties, start=first):
         overlap = psi_intersect(task.features.ids, party.features.ids)
         if overlap.size == 0:
             raise DataError(
@@ -226,11 +222,8 @@ def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
             task.party_id: h_t_ol.values,
             party.party_id: party.features.values[overlap.data_rows],
         }
-        h_fed = run_frl(bus, cfg.frl.method, task.party_id, party_matrices,
-                        overlap, seed=run_seed * 1000 + k,
-                        block_size=cfg.frl.block_size, rank=cfg.frl.rank,
-                        iter_num=cfg.frl.iter_num, period_num=cfg.frl.period_num,
-                        warm_start=cfg.frl.warm_start)
+        h_fed = run_frl(bus, cfg.frl, task.party_id, party_matrices, overlap,
+                        seed=run_seed * 1000 + k)
         flagged += h_fed.flagged
         # Pair models share the run-level training seed: identical data
         # hospitals then yield identical pre-fine-tune encoders, so any
@@ -239,9 +232,6 @@ def _train_pair_models(cfg: ExperimentConfig, condition: str, dataset: Dataset,
                                   seed=run_seed * 1000 + 500,
                                   provenance=party.party_id)
         models.append(model)
-    if condition != "ablation-no-cl" and len(models) >= 1:
-        models = lkt_mod.lkt_finetune_contrastive(models, h_t_nl, lkt_cfg,
-                                                  seed=run_seed * 1000 + 999)
     return models, flagged
 
 
@@ -271,7 +261,15 @@ def run_pipeline_once(cfg: ExperimentConfig, condition: str, dataset: Dataset,
     if condition == "local":
         x = h_t_nl.values
     else:
-        models, flagged = _train_pair_models(cfg, condition, dataset, h_t_nl, run_seed, bus)
+        lkt_cfg = cfg.lkt
+        if condition == "ablation-no-mi":
+            lkt_cfg = replace(lkt_cfg, mi_weight=0.0,
+                              beta_mi=0.0 if lkt_cfg.beta_mi is not None else None)
+        models, flagged = _train_pair_models(cfg, lkt_cfg, dataset.task, dataset.data_parties,
+                                             h_t_nl, run_seed, bus)
+        if condition != "ablation-no-cl" and models:
+            models = lkt_mod.lkt_finetune_contrastive(models, h_t_nl, lkt_cfg,
+                                                      seed=run_seed * 1000 + 999)
         x = lkt_mod.augment(models, h_t_nl).matrix.values
 
     split = SplitSpec(train_fraction=cfg.downstream.train_fraction,
@@ -348,25 +346,15 @@ def add_data_hospital(models: list, cfg: ExperimentConfig, dataset: Dataset,
     sample ids are read, and their pair models are otherwise untouched.
     Returns (models, bus).
     """
-    for m in models:
-        if tuple(m.nl_columns) != _nl_schema(cfg, dataset):
-            raise DataError("checkpoint schema incompatible with this dataset")
     bus = MessageBus()
-    extended = Dataset(task=dataset.task, data_parties=[new_party])
     _, h_t_nl = _non_overlap(cfg, dataset.task, dataset.data_parties + [new_party])
-    if h_t_nl.columns != models[0].nl_columns:
-        raise DataError("non-overlap schema changed since the checkpoint")
-    new_models, _ = _train_pair_models(cfg, "ablation-no-cl", extended, h_t_nl, run_seed,
-                                       bus, first=len(dataset.data_parties))
+    if any(m.nl_columns != h_t_nl.columns for m in models):
+        raise DataError("checkpoint schema incompatible with this dataset")
+    new_models, _ = _train_pair_models(cfg, cfg.lkt, dataset.task, [new_party], h_t_nl,
+                                       run_seed, bus, first=len(dataset.data_parties))
     all_models = lkt_mod.lkt_finetune_contrastive(models + new_models, h_t_nl, cfg.lkt,
                                                   seed=run_seed * 1000 + 999)
     return all_models, bus
-
-
-def _nl_schema(cfg: ExperimentConfig, dataset: Dataset):
-    if cfg.nl_columns:
-        return tuple(cfg.nl_columns)
-    return dataset.task.features.columns
 
 
 SWEEP_AXES = ("task_features", "data_features", "overlap_count", "num_data_hospitals")

@@ -5,13 +5,13 @@ party:
 
   * a masked-factorization protocol: a key generator hands each party the
     same row mask A and a party-specific column-mask slice B_k; parties
-    upload A H_k B_k; the server factorizes the concatenation and returns
-    only the left factor, which the task party unmasks with A^T. A is
-    block-diagonal, with Haar blocks of at most ``MASK_BLOCK`` rows; it is
-    shipped as its blocks and applied block by block, so keygen costs
-    O(|I_ol| b^2), the keys carry |I_ol| b floats, and no |I_ol| x |I_ol|
-    array is ever formed. An overlap of at most ``MASK_BLOCK`` rows gets a
-    single dense Haar block;
+    upload A H_k B_k; the server factorizes their sum A [H_1 ... H_P] B
+    and returns only the left factor, which the task party unmasks with
+    A^T. A is block-diagonal, with Haar blocks of at most ``MASK_BLOCK``
+    rows; it is shipped as its blocks and applied block by block, so
+    keygen costs O(|I_ol| b^2), the keys carry |I_ol| b floats, and no
+    |I_ol| x |I_ol| array is ever formed. An overlap of at most
+    ``MASK_BLOCK`` rows gets a single dense Haar block;
   * an eigenvector-aggregation protocol: each party power-iterates its
     local sample-space Gram matrix, applied through its own |I_ol| x f_k
     block and never formed; the server aggregates eigenvector shares
@@ -25,12 +25,16 @@ Pure per-step functions are exposed for testing; ``run_fedsvd`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bus import MessageBus
 from .data import FeatureMatrix, OverlapIndex
 from .numerics import Array, haar_blocks, power_iteration, random_orthogonal, svd
+
+if TYPE_CHECKING:
+    from .experiment import FrlParams
 
 # Rows per diagonal block of the FedSVD row mask when no block size is given.
 MASK_BLOCK = 256
@@ -124,14 +128,13 @@ def fedsvd_mask(h_k: Array, masks: MaskPair) -> Array:
 
 
 def fedsvd_server(masked_parts: list[Array]) -> Array:
-    """Factorize the horizontal concatenation of masked parts; return only the left factor."""
+    """Factorize the sum of the masked parts, A H B; return only the left factor."""
     if not masked_parts:
         raise ProtocolError("no masked parts")
-    rows = {p.shape[0] for p in masked_parts}
-    if len(rows) != 1:
-        raise ProtocolError(f"masked parts disagree on row count: {sorted(rows)}")
-    combined = np.hstack(masked_parts)
-    return svd(combined).u
+    shapes = {p.shape for p in masked_parts}
+    if len(shapes) != 1:
+        raise ProtocolError(f"masked parts disagree on shape: {sorted(shapes)}")
+    return svd(sum(masked_parts)).u
 
 
 def fedsvd_recover(u_hat: Array, a_blocks: tuple[Array, ...]) -> Array:
@@ -177,12 +180,7 @@ def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
 
     u_hat = bus.recv("server", task_id).payload
     h_fed = fedsvd_recover(u_hat, pairs[order.index(task_id)].a_blocks)
-    # Each masked part spans the full joint feature width, so the stacked
-    # system carries |X_fed| trailing zero singular values; only the leading
-    # min(|I_ol|, |X_fed|) columns are meaningful.
-    full_rank = min(n, sum(sizes))
-    h_fed = h_fed[:, :full_rank if rank is None else min(rank, full_rank)]
-    return FederatedRepresentation(matrix=h_fed, method="fedsvd", overlap=overlap)
+    return FederatedRepresentation(matrix=h_fed[:, :rank], method="fedsvd", overlap=overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +303,15 @@ def run_vfedpca(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
                                    flagged=flagged)
 
 
-def run_frl(bus: MessageBus, method: str, task_id: str, party_matrices: dict[str, Array],
-            overlap: OverlapIndex, seed, **params) -> FederatedRepresentation:
-    bus.send(task_id, "server", "frl_begin", method)
+def run_frl(bus: MessageBus, params: FrlParams, task_id: str,
+            party_matrices: dict[str, Array], overlap: OverlapIndex,
+            seed) -> FederatedRepresentation:
+    """Run the protocol ``params.method`` names, after a begin marker from the task party."""
+    bus.send(task_id, "server", "frl_begin", params.method)
     bus.recv(task_id, "server")
-    if method == "fedsvd":
-        rep = run_fedsvd(bus, task_id, party_matrices, overlap, seed,
-                         block_size=params.get("block_size"),
-                         rank=params.get("rank"))
-    elif method == "vfedpca":
-        rep = run_vfedpca(bus, task_id, party_matrices, overlap, seed,
-                          iter_num=params.get("iter_num", 100),
-                          period_num=params.get("period_num", 10),
-                          warm_start=params.get("warm_start", True))
-    else:
-        raise ProtocolError(f"unknown FRL method {method!r}")
-    return rep
+    if params.method == "fedsvd":
+        return run_fedsvd(bus, task_id, party_matrices, overlap, seed,
+                          block_size=params.block_size, rank=params.rank)
+    return run_vfedpca(bus, task_id, party_matrices, overlap, seed,
+                       iter_num=params.iter_num, period_num=params.period_num,
+                       warm_start=params.warm_start)

@@ -7,6 +7,7 @@ import pytest
 
 from vfkt.bus import ChannelEmpty, MessageBus
 from vfkt.data import OverlapIndex
+from vfkt.experiment import ConfigError, FrlParams
 from vfkt.frl import (
     MASK_BLOCK,
     EigenShare,
@@ -79,16 +80,6 @@ class TestBus:
         assert set(rec) == {"from", "to", "kind", "shape", "checksum"}
         assert rec["shape"] == [2, 3]
         assert len(rec["checksum"]) == 16
-
-    def test_trace_file_sink(self, tmp_path):
-        import json
-
-        path = tmp_path / "trace.jsonl"
-        bus = MessageBus(trace_path=path)
-        bus.send("a", "b", "k", np.ones(3))
-        bus.send("b", "a", "k2", None)
-        lines = path.read_text().strip().splitlines()
-        assert [json.loads(ln)["kind"] for ln in lines] == ["k", "k2"]
 
     @pytest.mark.parametrize("payload", [
         (np.ones(2), 3.0),  # mixed
@@ -164,17 +155,17 @@ class TestFedSvdSteps:
         rng = np.random.default_rng(2)
         h = {f"p{k}": rng.normal(size=(10, f)) for k, f in enumerate((3, 4))}
         pairs = fedsvd_keygen(10, [3, 4], seed=3)
-        masked = np.hstack([fedsvd_mask(h[f"p{k}"], pairs[k]) for k in range(2)])
+        masked = sum(fedsvd_mask(h[f"p{k}"], pairs[k]) for k in range(2))
         raw = np.hstack(list(h.values()))
         s_masked = np.linalg.svd(masked, compute_uv=False)
         s_raw = np.linalg.svd(raw, compute_uv=False)
-        # masked width is the joint feature count per party, so trailing
-        # singular values are exact zeros
-        np.testing.assert_allclose(np.sort(s_masked)[::-1][: s_raw.size], s_raw, atol=1e-10)
+        np.testing.assert_allclose(s_masked, s_raw, atol=1e-10)
 
     def test_server_rejects_inconsistent_rows(self):
-        with pytest.raises(ProtocolError, match="row count"):
+        with pytest.raises(ProtocolError, match="shape"):
             fedsvd_server([np.ones((3, 2)), np.ones((4, 2))])
+        with pytest.raises(ProtocolError, match="shape"):
+            fedsvd_server([np.ones((3, 2)), np.ones((3, 3))])
         with pytest.raises(ProtocolError, match="no masked parts"):
             fedsvd_server([])
 
@@ -225,6 +216,12 @@ class TestFedSvdProtocol:
             _align_columns(rep.matrix, u_ref), u_ref, atol=1e-8)
         assert rep.method == "fedsvd"
 
+    def test_factor_is_as_wide_as_the_joint_features(self):
+        # the server factorizes the n x sum(f) sum of the masked parts
+        bus = MessageBus()
+        run_fedsvd(bus, "p0", _parties(n=20, sizes=(4, 3, 5)), _overlap(20), seed=7)
+        assert [r["shape"] for r in bus.messages_of_kind("factor_u")] == [[20, 12]]
+
     @pytest.mark.parametrize("block_size", [None, 40])
     def test_matches_centralized_svd_across_mask_blocks(self, block_size):
         n = 2 * MASK_BLOCK + 88
@@ -232,8 +229,8 @@ class TestFedSvdProtocol:
         raw = np.hstack(list(parties.values()))
         pairs = fedsvd_keygen(n, [6, 5], seed=9, block_size=block_size)
         assert len(pairs[0].a_blocks) == -(-n // (block_size or MASK_BLOCK))
-        masked = np.hstack([fedsvd_mask(h, p) for h, p in zip(parties.values(), pairs)])
-        s_masked = np.linalg.svd(masked, compute_uv=False)[:11]
+        masked = sum(fedsvd_mask(h, p) for h, p in zip(parties.values(), pairs))
+        s_masked = np.linalg.svd(masked, compute_uv=False)
         u_ref, s_ref, _ = np.linalg.svd(raw, full_matrices=False)
         np.testing.assert_allclose(s_masked, s_ref, rtol=0, atol=1e-10 * s_ref[0])
         rep = run_fedsvd(MessageBus(), "p0", parties, _overlap(n), seed=9,
@@ -433,16 +430,19 @@ class TestRunFrl:
     def test_begin_marker_first(self):
         parties = _parties(n=10, sizes=(3, 3), seed=9)
         bus = MessageBus()
-        run_frl(bus, "fedsvd", "p0", parties, _overlap(10), seed=0)
+        run_frl(bus, FrlParams(), "p0", parties, _overlap(10), seed=0)
         assert bus.trace[0]["kind"] == "frl_begin"
         assert bus.trace[0]["from"] == "p0"
 
     def test_dispatch_and_unknown_method(self):
         parties = _parties(n=10, sizes=(3, 3), seed=9)
-        rep = run_frl(MessageBus(), "vfedpca", "p0", parties, _overlap(10), seed=0)
+        rep = run_frl(MessageBus(), FrlParams(method="vfedpca"), "p0", parties,
+                      _overlap(10), seed=0)
         assert rep.method == "vfedpca"
-        with pytest.raises(ProtocolError, match="unknown FRL method"):
-            run_frl(MessageBus(), "pca", "p0", parties, _overlap(10), seed=0)
+        rep = run_frl(MessageBus(), FrlParams(rank=2), "p0", parties, _overlap(10), seed=0)
+        assert (rep.method, rep.matrix.shape) == ("fedsvd", (10, 2))
+        with pytest.raises(ConfigError, match="unknown FRL method"):
+            FrlParams(method="pca")
 
     def test_representation_rejects_bad_rows(self):
         from vfkt.frl import FederatedRepresentation
