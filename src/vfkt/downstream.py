@@ -97,7 +97,7 @@ def train_classifier(x: Array, y: LabelVector | Array, kind: str, seed,
     for _ in range(epochs):
         logits, cache = net.forward(x)
         probs = softmax_rows(logits)
-        grads, _ = net.backward(cache, (probs - onehot) / labels.size)
+        grads, _ = net.backward(cache, (probs - onehot) / labels.size, inputs=False)
         net.adam_step(grads, lr)
     return Classifier(net=net, kind=kind, num_classes=num_classes)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import FeatureMatrix
 from .frl import FederatedRepresentation
-from .numerics import ACTIVATIONS, AdamState, Array, DenseNet, logmeanexp, softmax_rows
+from .numerics import ACTIVATIONS, AdamState, Array, DenseNet, _buf, logmeanexp, softmax_rows
 
 CHECKPOINT_VERSION = 2
 
@@ -126,29 +126,38 @@ def _column_standardize(m: Array) -> Array:
     return (m - mu) / sd
 
 
-def _attention_forward(query: Array, h_fed: Array, phi: Array):
+def _attention_forward(query: Array, h_fed: Array, phi: Array, ws: dict | None = None):
     if query.shape[1] != phi.shape[1] or h_fed.shape[1] != phi.shape[0]:
         raise ValueError(
             f"attention dimension mismatch: query {query.shape}, "
             f"h_fed {h_fed.shape}, phi {phi.shape}")
-    return _attend(query, h_fed @ phi)
+    return _attend(query, h_fed @ phi, ws)
 
 
-def _attend(query: Array, keys: Array):
-    """Softmax readout of ``keys`` (m x d), which double as values."""
+def _attend(query: Array, keys: Array, ws: dict | None = None):
+    """Softmax readout of ``keys`` (m x d), which double as values.
+
+    The n x m scores are the one n x m array made here; the softmax runs on
+    them in place. With ``ws`` (see ``DenseNet.forward``) they are written
+    into the buffer ``ws["attn"]``, so the attention weights in the returned
+    cache are overwritten by the next call with the same ``ws``.
+    """
     scale = np.sqrt(keys.shape[1])
-    scores = query @ keys.T
-    scores /= scale
-    attn = softmax_rows(scores)
+    attn = np.matmul(query, keys.T, out=_buf(ws, "attn", (query.shape[0], keys.shape[0])))
+    attn /= scale
+    softmax_rows(attn, out=attn)
     z = attn @ keys
     return z, (query, keys, attn, scale)
 
 
-def _attention_backward(cache, dz: Array, h_fed: Array):
+def _attention_backward(cache, dz: Array, h_fed: Array, ws: dict | None = None):
     query, keys, attn, scale = cache
-    d_attn = dz @ keys.T
+    d_attn = np.matmul(dz, keys.T, out=_buf(ws, "d_attn", attn.shape))
     d_keys = attn.T @ dz
-    d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=1, keepdims=True))
+    s = np.sum(np.multiply(d_attn, attn, out=_buf(ws, "d_attn_attn", attn.shape)),
+               axis=1, keepdims=True)
+    d_attn -= s
+    d_scores = np.multiply(d_attn, attn, out=d_attn)  # attn * (d_attn - s)
     d_query = d_scores @ keys / scale
     d_keys += d_scores.T @ query / scale
     d_phi = h_fed.T @ d_keys
@@ -163,12 +172,6 @@ def cross_attention(query: Array, h_fed: Array, phi: Array) -> Array:
     z, _ = _attention_forward(np.asarray(query, float), np.asarray(h_fed, float),
                               np.asarray(phi, float))
     return z
-
-
-def attention_weights(query: Array, h_fed: Array, phi: Array) -> Array:
-    _, (_, _, attn, _) = _attention_forward(
-        np.asarray(query, float), np.asarray(h_fed, float), np.asarray(phi, float))
-    return attn
 
 
 def mine_estimate(mine: DenseNet, p: Array, q: Array, rng) -> float:
@@ -210,8 +213,8 @@ def train_mine(p: Array, q: Array, steps: int, seed, hidden=(64, 64),
         t_j, cache_j = net.forward(joint, ws_j)
         t_m, cache_m = net.forward(marg, ws_m)
         w = softmax_rows(t_m.reshape(1, -1)).reshape(-1, 1)
-        g_j, _ = net.backward(cache_j, np.full_like(t_j, 1.0 / n), ws_j)
-        g_m, _ = net.backward(cache_m, -w, ws_m)
+        g_j, _ = net.backward(cache_j, np.full_like(t_j, 1.0 / n), ws_j, inputs=False)
+        g_m, _ = net.backward(cache_m, -w, ws_m, inputs=False)
         grads = [(a + b, c + d) for (a, c), (b, d) in zip(g_j, g_m)]
         net.adam_step(grads, lr, ascend=True)
     return net
@@ -237,19 +240,23 @@ def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed,
                     recon_columns=tuple(recon_columns), phi_adam=AdamState.like(phi))
 
 
-def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shift: int):
+def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shift: int,
+                   ws: dict | None = None):
     """Full transfer loss and its gradients w.r.t. encoder, decoder, and phi.
 
-    The critic is treated as fixed here; its ascent step is separate.
-    Returns (loss, {"recons": .., "mi": ..}, grads) where grads holds
-    per-layer (dW, db) lists for enc/dec and the dense phi gradient.
+    The critic is treated as fixed here; its ascent step is separate, and
+    its weight gradients are not formed. Returns (loss, {"recons": ..,
+    "mi": ..}, grads) where grads holds per-layer (dW, db) lists for enc/dec
+    and the dense phi gradient. ``ws`` holds the attention's n x |h_fed|
+    buffers from one call to the next (see ``_attend``); the results are
+    the same without it.
     """
     b0, b1 = model.weights
     d = model.latent_dim
     n = x_nl.shape[0]
 
     e_nl, cache_nl = model.enc.forward(x_nl)
-    z, attn_cache = _attention_forward(e_nl, h_fed, model.phi)
+    z, attn_cache = _attention_forward(e_nl, h_fed, model.phi, ws)
 
     e_rec, cache_rec = model.enc.forward(x_rec)
     recon, cache_dec = model.dec.forward(e_rec)
@@ -265,17 +272,17 @@ def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shi
     # reconstruction branch
     d_recon = b0 * 2.0 * (recon - x_rec) / recon.size
     dec_grads, d_e_rec = model.dec.backward(cache_dec, d_recon)
-    enc_grads_rec, _ = model.enc.backward(cache_rec, d_e_rec)
+    enc_grads_rec, _ = model.enc.backward(cache_rec, d_e_rec, inputs=False)
 
     # MI branch (critic fixed): d(loss)/dT_joint = -b1/n; d(loss)/dT_marg = +b1*softmax(T_marg)
     w = softmax_rows(t_marg.reshape(1, -1)).reshape(-1, 1)
-    _, d_cj = model.mine.backward(cache_j, np.full_like(t_joint, -b1 / n))
-    _, d_cm = model.mine.backward(cache_m, b1 * w)
+    _, d_cj = model.mine.backward(cache_j, np.full_like(t_joint, -b1 / n), params=False)
+    _, d_cm = model.mine.backward(cache_m, b1 * w, params=False)
     d_p = d_cj[:, :d] + d_cm[:, :d]
     d_z = d_cj[:, d:] + np.roll(d_cm[:, d:], -shift, axis=0)
 
-    d_query, d_phi = _attention_backward(attn_cache, d_z, h_fed)
-    enc_grads_nl, _ = model.enc.backward(cache_nl, d_p + d_query)
+    d_query, d_phi = _attention_backward(attn_cache, d_z, h_fed, ws)
+    enc_grads_nl, _ = model.enc.backward(cache_nl, d_p + d_query, inputs=False)
 
     enc_grads = [(a + c, b + e) for (a, b), (c, e) in zip(enc_grads_rec, enc_grads_nl)]
     return loss, {"recons": l_rec, "mi": l_mi}, {
@@ -283,15 +290,16 @@ def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shi
     }
 
 
-def _mine_ascent(model: LktModel, x_nl: Array, h_fed: Array, shift: int, lr: float):
+def _mine_ascent(model: LktModel, x_nl: Array, h_fed: Array, shift: int, lr: float,
+                 ws: dict | None = None):
     e_nl, _ = model.enc.forward(x_nl)
-    z, _ = _attention_forward(e_nl, h_fed, model.phi)
+    z, _ = _attention_forward(e_nl, h_fed, model.phi, ws)
     n = x_nl.shape[0]
     t_j, cache_j = model.mine.forward(np.hstack([e_nl, z]))
     t_m, cache_m = model.mine.forward(np.hstack([e_nl, np.roll(z, shift, axis=0)]))
     w = softmax_rows(t_m.reshape(1, -1)).reshape(-1, 1)
-    g_j, _ = model.mine.backward(cache_j, np.full_like(t_j, 1.0 / n))
-    g_m, _ = model.mine.backward(cache_m, -w)
+    g_j, _ = model.mine.backward(cache_j, np.full_like(t_j, 1.0 / n), inputs=False)
+    g_m, _ = model.mine.backward(cache_m, -w, inputs=False)
     grads = [(a + b, c + d) for (a, c), (b, d) in zip(g_j, g_m)]
     model.mine.adam_step(grads, lr, ascend=True)
 
@@ -325,6 +333,7 @@ def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
 
     history: dict[str, list[float]] = {"loss": [], "recons": [], "mi": []}
     n_rec = x_rec_full.shape[0]
+    ws: dict = {}  # attention buffers shared by every step
     for epoch in range(config.epochs):
         ep_loss, ep_rec, ep_mi, n_batches = 0.0, 0.0, 0.0, 0
         rec_perm = rng.permutation(n_rec)
@@ -339,13 +348,13 @@ def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
             rec_cursor += take
             xr = x_rec_full[rec_idx]
             shift = int(rng.integers(1, idx.size))
-            loss, parts, grads = loss_and_grads(model, xb, xr, fed, shift)
+            loss, parts, grads = loss_and_grads(model, xb, xr, fed, shift, ws)
             if not np.isfinite(loss):
                 raise LktDivergenceError(seed, epoch)
             model.enc.adam_step(grads["enc"], config.learning_rate)
             model.dec.adam_step(grads["dec"], config.learning_rate)
             model.phi = model.phi_adam.update(model.phi, grads["phi"], config.learning_rate)
-            _mine_ascent(model, xb, fed, shift, config.learning_rate)
+            _mine_ascent(model, xb, fed, shift, config.learning_rate, ws)
             ep_loss += loss
             ep_rec += parts["recons"]
             ep_mi += parts["mi"]
@@ -428,7 +437,7 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
             enc_grads = []
             for i, m in enumerate(models):
                 d_sim = (p[i] - 1.0) / tau  # only enc_i's own similarity backprops
-                g, _ = m.enc.backward(caches[i], d_sim * grads_e[i])
+                g, _ = m.enc.backward(caches[i], d_sim * grads_e[i], inputs=False)
                 enc_grads.append(g)
                 batch_loss += -np.log(max(p[i], 1e-300))
             for m, g in zip(models, enc_grads):

@@ -168,10 +168,13 @@ def power_iteration(a: Array | Callable[[Array], Array], iters: int,
     return PowerIterationResult(vector=x, value=value, value_history=tuple(history), flagged=flagged)
 
 
-def softmax_rows(m: Array) -> Array:
-    """Numerically stable row-wise softmax (max-shifted)."""
+def softmax_rows(m: Array, out: Array | None = None) -> Array:
+    """Numerically stable row-wise softmax (max-shifted), into ``out`` if given.
+
+    ``out`` may be ``m`` itself, for a softmax in place.
+    """
     m = np.asarray(m, dtype=float)
-    e = m - np.max(m, axis=-1, keepdims=True)
+    e = np.subtract(m, np.max(m, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e
@@ -271,7 +274,8 @@ class DenseNet:
 
     ``backward`` returns per-layer (dW, db) gradients plus the gradient with
     respect to the network input, so nets can be chained (encoder feeding an
-    attention block feeding a critic, etc.).
+    attention block feeding a critic, etc.); either part can be skipped when
+    the caller discards it.
 
     All weights and biases live in one flat buffer, laid out as
     ``w_0, b_0, w_1, b_1, ...``; each layer's ``w`` and ``b`` are views into
@@ -345,8 +349,14 @@ class DenseNet:
             a = a_next
         return a, cache
 
-    def backward(self, cache, grad_output: Array, ws: dict | None = None):
-        """Returns ([(dW, db) per layer], grad_input); ``ws`` as in ``forward``."""
+    def backward(self, cache, grad_output: Array, ws: dict | None = None,
+                 params: bool = True, inputs: bool = True):
+        """Returns ([(dW, db) per layer], grad_input); ``ws`` as in ``forward``.
+
+        ``params=False`` skips the weight gradients and ``inputs=False`` the
+        first layer's input gradient; the skipped part is returned as None.
+        The part that is computed is the same either way.
+        """
         grads = [None] * len(self.layers)
         g = np.asarray(grad_output, dtype=float)
         for i in range(len(self.layers) - 1, -1, -1):
@@ -357,9 +367,11 @@ class DenseNet:
             else:
                 gz = np.multiply(g, _act_grad(layer.activation, a_out),
                                  out=_buf(ws, ("gz", i), g.shape))
-            grads[i] = (a_in.T @ gz, gz.sum(axis=0))
-            g = np.matmul(gz, layer.w.T, out=_buf(ws, ("g", i), a_in.shape))
-        return grads, g
+            if params:
+                grads[i] = (a_in.T @ gz, gz.sum(axis=0))
+            if i > 0 or inputs:
+                g = np.matmul(gz, layer.w.T, out=_buf(ws, ("g", i), a_in.shape))
+        return (grads if params else None), (g if inputs else None)
 
     def adam_step(self, grads, lr: float,
                   betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,

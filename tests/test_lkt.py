@@ -1,6 +1,8 @@
 """Tests for pair-model training, attention, MI estimation, fine-tuning,
 augmentation, and checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from vfkt.data import FeatureMatrix, OverlapIndex, standardize
 from vfkt.frl import FederatedRepresentation
 from vfkt.lkt import (
     LktConfig,
+    _attention_forward,
     _column_standardize,
     apply_to_new_samples,
-    attention_weights,
     augment,
     build_model,
     contrastive_loss,
@@ -50,6 +52,11 @@ def _feature_matrix(values, prefix="s"):
     )
 
 
+def _attention_weights(query, h_fed, phi):
+    _, (_, _, attn, _) = _attention_forward(query, h_fed, phi)
+    return attn
+
+
 class TestAttention:
     def test_single_key_returns_that_key(self):
         # with one key row the softmax is exactly [1.0] regardless of query
@@ -62,9 +69,9 @@ class TestAttention:
 
     def test_weights_are_row_stochastic(self):
         rng = np.random.default_rng(2)
-        attn = attention_weights(rng.normal(size=(5, 3)),
-                                 rng.normal(size=(7, 4)),
-                                 rng.normal(size=(4, 3)))
+        attn = _attention_weights(rng.normal(size=(5, 3)),
+                                  rng.normal(size=(7, 4)),
+                                  rng.normal(size=(4, 3)))
         assert attn.shape == (5, 7)
         assert np.all(attn > 0)
         np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
@@ -81,6 +88,21 @@ class TestAttention:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             cross_attention(np.ones((2, 3)), np.ones((4, 5)), np.ones((5, 2)))
+
+    def test_softmax_runs_in_the_score_matrix(self):
+        # one n x m score matrix is the only array of that size made; the
+        # softmax overwrites it in place
+        rng = np.random.default_rng(4)
+        query = rng.normal(size=(2000, 5))
+        h_fed = rng.normal(size=(1200, 3))
+        phi = rng.normal(size=(3, 5))
+        tracemalloc.start()
+        try:
+            cross_attention(query, h_fed, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2000 * 1200 * 8
 
 
 class TestMine:
@@ -165,6 +187,23 @@ class TestLossAndGrads:
                     an = grad.reshape(-1)[k]
                     denom = max(abs(fd), abs(an), 1e-6)
                     assert abs(fd - an) / denom < 1e-4, (seed, fd, an)
+
+    def test_buffers_give_bit_identical_results(self):
+        model, _, _, h_fed = self._setup(0)
+        rng = np.random.default_rng(1)
+
+        def leaves(grads):
+            return [x for pair in grads["enc"] + grads["dec"] for x in pair] + [grads["phi"]]
+
+        ws = {}
+        for n in (5, 3, 5):  # the buffers are reshaped between batch sizes
+            x_nl, x_rec = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+            loss, parts, grads = loss_and_grads(model, x_nl, x_rec, h_fed, shift=1)
+            loss_ws, parts_ws, grads_ws = loss_and_grads(model, x_nl, x_rec, h_fed, shift=1, ws=ws)
+            assert ws["attn"].shape == (n, h_fed.shape[0])
+            assert (loss_ws, parts_ws) == (loss, parts)
+            for a, b in zip(leaves(grads), leaves(grads_ws), strict=True):
+                assert a.tobytes() == b.tobytes()
 
     def test_loss_components_reported(self):
         model, x_nl, x_rec, h_fed = self._setup(0)

@@ -235,6 +235,13 @@ class TestStableReductions:
         np.testing.assert_allclose(softmax_rows(x), softmax_rows(x + 1000.0),
                                    atol=1e-12)
 
+    def test_softmax_in_place_is_bit_identical(self):
+        m = np.random.default_rng(1).standard_normal((5, 9)) * 20
+        expected = softmax_rows(m)
+        out = softmax_rows(m, out=m)
+        assert out is m
+        assert m.tobytes() == expected.tobytes()
+
     def test_logmeanexp_constant_input(self):
         assert abs(logmeanexp(np.full(10, 3.5)) - 3.5) < 1e-12
 
@@ -318,6 +325,20 @@ class TestDenseNet:
         down, _ = net.forward(x0)
         fd = (np.sum(up ** 2) - np.sum(down ** 2)) / (2 * h)
         assert abs(grad_x[0, 0] - fd) < 1e-4 * max(1.0, abs(fd))
+
+    def test_backward_can_skip_either_part(self):
+        rng = np.random.default_rng(7)
+        net = DenseNet.create([3, 5, 4, 2], ["sigmoid", "relu", "linear"], rng)
+        out, cache = net.forward(rng.standard_normal((6, 3)))
+        g_out = rng.standard_normal(out.shape)
+        grads, grad_x = net.backward(cache, g_out)
+        no_params, only_x = net.backward(cache, g_out, params=False)
+        only_params, no_x = net.backward(cache, g_out, inputs=False)
+        assert no_params is None and no_x is None
+        assert only_x.tobytes() == grad_x.tobytes()
+        assert len(only_params) == len(grads)
+        for (dw, db), (dw2, db2) in zip(grads, only_params):
+            assert dw.tobytes() == dw2.tobytes() and db.tobytes() == db2.tobytes()
 
     def test_adam_step_reduces_loss(self):
         rng = np.random.default_rng(3)
