@@ -188,9 +188,42 @@ def mine_estimate(mine: DenseNet, p: Array, q: Array, rng) -> float:
     if n < 2:
         raise ValueError("mine_estimate needs at least 2 samples")
     shift = int(np.random.default_rng(rng).integers(1, n))
-    t_joint, _ = mine.forward(np.hstack([p, q]))
-    t_marg, _ = mine.forward(np.hstack([p, np.roll(q, shift, axis=0)]))
-    return float(np.mean(t_joint)) - logmeanexp(t_marg)
+    t, _ = mine.forward(_stack_pairs(p, q, shift))
+    return _dv_bound(t, n)
+
+
+def _stack_pairs(p: Array, q: Array, shift: int) -> Array:
+    """Critic inputs for one pass: the n joint rows ``[p, q]`` over the n
+    marginal rows ``[p, roll(q, shift)]``."""
+    n, dp = p.shape
+    pairs = np.empty((2 * n, dp + q.shape[1]))
+    pairs[:n, :dp] = p
+    pairs[n:, :dp] = p
+    pairs[:n, dp:] = q
+    pairs[n:, dp:] = np.roll(q, shift, axis=0)
+    return pairs
+
+
+def _dv_bound(t: Array, n: int) -> float:
+    """The DV bound from the critic's outputs ``t`` on ``_stack_pairs`` rows."""
+    return float(np.mean(t[:n])) - logmeanexp(t[n:])
+
+
+def _dv_upstream(t: Array, n: int) -> Array:
+    """Gradient of ``_dv_bound(t, n)`` with respect to ``t`` (2n x 1): 1/n on
+    the joint rows, -softmax(t[n:]) on the marginal rows."""
+    g = np.empty_like(t)
+    g[:n] = 1.0 / n
+    g[n:, 0] = -softmax_rows(t[n:, 0])
+    return g
+
+
+def _critic_grads(net: DenseNet, pairs: Array, ws: dict | None = None):
+    """Per-layer gradients of the DV bound on ``_stack_pairs`` rows with
+    respect to the critic's parameters: one forward and one backward pass."""
+    t, cache = net.forward(pairs, ws)
+    grads, _ = net.backward(cache, _dv_upstream(t, pairs.shape[0] // 2), ws, inputs=False)
+    return grads
 
 
 def train_mine(p: Array, q: Array, steps: int, seed, hidden=(64, 64),
@@ -202,21 +235,13 @@ def train_mine(p: Array, q: Array, steps: int, seed, hidden=(64, 64),
     net = DenseNet.create([p.shape[1] + q.shape[1], *hidden, 1],
                           [activation] * len(hidden) + ["linear"], rng)
     n = p.shape[0]
-    joint = np.hstack([p, q])
-    # Scratch buffers reused by every step's passes: the full-batch
+    # Scratch buffers reused by every step's pass: the full-batch
     # activations would otherwise be allocated, freed and paged in afresh
     # each step.
-    ws_j, ws_m = {}, {}
+    ws: dict = {}
     for _ in range(steps):
         shift = int(rng.integers(1, n))
-        marg = np.hstack([p, np.roll(q, shift, axis=0)])
-        t_j, cache_j = net.forward(joint, ws_j)
-        t_m, cache_m = net.forward(marg, ws_m)
-        w = softmax_rows(t_m.reshape(1, -1)).reshape(-1, 1)
-        g_j, _ = net.backward(cache_j, np.full_like(t_j, 1.0 / n), ws_j, inputs=False)
-        g_m, _ = net.backward(cache_m, -w, ws_m, inputs=False)
-        grads = [(a + b, c + d) for (a, c), (b, d) in zip(g_j, g_m)]
-        net.adam_step(grads, lr, ascend=True)
+        net.adam_step(_critic_grads(net, _stack_pairs(p, q, shift), ws), lr, ascend=True)
     return net
 
 
@@ -262,10 +287,8 @@ def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shi
     recon, cache_dec = model.dec.forward(e_rec)
     l_rec = float(np.mean((recon - x_rec) ** 2))
 
-    t_joint, cache_j = model.mine.forward(np.hstack([e_nl, z]))
-    z_shift = np.roll(z, shift, axis=0)
-    t_marg, cache_m = model.mine.forward(np.hstack([e_nl, z_shift]))
-    l_mi = float(np.mean(t_joint)) - logmeanexp(t_marg)
+    t, cache_c = model.mine.forward(_stack_pairs(e_nl, z, shift))
+    l_mi = _dv_bound(t, n)
 
     loss = b0 * l_rec - b1 * l_mi
 
@@ -274,12 +297,10 @@ def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shi
     dec_grads, d_e_rec = model.dec.backward(cache_dec, d_recon)
     enc_grads_rec, _ = model.enc.backward(cache_rec, d_e_rec, inputs=False)
 
-    # MI branch (critic fixed): d(loss)/dT_joint = -b1/n; d(loss)/dT_marg = +b1*softmax(T_marg)
-    w = softmax_rows(t_marg.reshape(1, -1)).reshape(-1, 1)
-    _, d_cj = model.mine.backward(cache_j, np.full_like(t_joint, -b1 / n), params=False)
-    _, d_cm = model.mine.backward(cache_m, b1 * w, params=False)
-    d_p = d_cj[:, :d] + d_cm[:, :d]
-    d_z = d_cj[:, d:] + np.roll(d_cm[:, d:], -shift, axis=0)
+    # MI branch (critic fixed): d(loss)/dT = -b1 * d(bound)/dT
+    _, d_c = model.mine.backward(cache_c, -b1 * _dv_upstream(t, n), params=False)
+    d_p = d_c[:n, :d] + d_c[n:, :d]
+    d_z = d_c[:n, d:] + np.roll(d_c[n:, d:], -shift, axis=0)
 
     d_query, d_phi = _attention_backward(attn_cache, d_z, h_fed, ws)
     enc_grads_nl, _ = model.enc.backward(cache_nl, d_p + d_query, inputs=False)
@@ -292,16 +313,12 @@ def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shi
 
 def _mine_ascent(model: LktModel, x_nl: Array, h_fed: Array, shift: int, lr: float,
                  ws: dict | None = None):
+    """Critic ascent step on the batch, after the model's update: the
+    encoder and attention forward passes are rerun with the new weights."""
     e_nl, _ = model.enc.forward(x_nl)
     z, _ = _attention_forward(e_nl, h_fed, model.phi, ws)
-    n = x_nl.shape[0]
-    t_j, cache_j = model.mine.forward(np.hstack([e_nl, z]))
-    t_m, cache_m = model.mine.forward(np.hstack([e_nl, np.roll(z, shift, axis=0)]))
-    w = softmax_rows(t_m.reshape(1, -1)).reshape(-1, 1)
-    g_j, _ = model.mine.backward(cache_j, np.full_like(t_j, 1.0 / n), inputs=False)
-    g_m, _ = model.mine.backward(cache_m, -w, inputs=False)
-    grads = [(a + b, c + d) for (a, c), (b, d) in zip(g_j, g_m)]
-    model.mine.adam_step(grads, lr, ascend=True)
+    model.mine.adam_step(_critic_grads(model.mine, _stack_pairs(e_nl, z, shift)), lr,
+                         ascend=True)
 
 
 def _batches(n: int, batch_size: int, rng):

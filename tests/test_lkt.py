@@ -12,6 +12,8 @@ from vfkt.lkt import (
     LktConfig,
     _attention_forward,
     _column_standardize,
+    _critic_grads,
+    _stack_pairs,
     apply_to_new_samples,
     augment,
     build_model,
@@ -115,6 +117,34 @@ class TestMine:
         rng = np.random.default_rng(1)
         est = mine_estimate(net, rng.normal(size=(20, 2)), rng.normal(size=(20, 2)), rng=0)
         assert est == 0.0
+
+    def test_pairs_stack_joint_over_marginal_rows(self):
+        rng = np.random.default_rng(2)
+        p, q = rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
+        expected = np.vstack([np.hstack([p, q]), np.hstack([p, np.roll(q, 2, axis=0)])])
+        np.testing.assert_array_equal(_stack_pairs(p, q, 2), expected)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_critic_gradient_matches_finite_differences(self, activation):
+        # the ascent step's gradient is that of the bound mine_estimate reads
+        rng = np.random.default_rng(3)
+        net = DenseNet.create([4, 5, 5, 1], [activation, activation, "linear"], rng)
+        p, q = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
+        shift = int(np.random.default_rng(0).integers(1, 7))  # mine_estimate's, rng=0
+        grads = _critic_grads(net, _stack_pairs(p, q, shift))
+        h = 1e-6
+        for layer, (dw, db) in zip(net.layers, grads, strict=True):
+            for param, grad in ((layer.w, dw), (layer.b, db)):
+                flat, g = param.reshape(-1), grad.reshape(-1)
+                for k in range(flat.size):
+                    orig = flat[k]
+                    flat[k] = orig + h
+                    up = mine_estimate(net, p, q, rng=0)
+                    flat[k] = orig - h
+                    down = mine_estimate(net, p, q, rng=0)
+                    flat[k] = orig
+                    fd = (up - down) / (2 * h)
+                    assert abs(fd - g[k]) <= 1e-6 * max(1.0, abs(fd)), (k, fd, g[k])
 
     def test_needs_two_samples(self):
         net = DenseNet.create([2, 1], ["linear"], np.random.default_rng(0))
