@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabelVector
-from .numerics import Array, DenseNet, softmax_rows
+from .numerics import Array, DenseNet
 
 CONDITIONS = ("local", "unitrans", "ablation-no-mi", "ablation-no-cl")
 
@@ -58,13 +59,36 @@ class Classifier:
         return np.argmax(logits, axis=1)
 
 
+def _logit_grad(logits: Array, onehot: Array, out: Array) -> Array:
+    """``(softmax_rows(logits) - onehot) / n`` into ``out``, bit for bit.
+
+    numpy reduces the rows of a narrow n×c array one short row at a time,
+    so the row max and the row sum run here over the c columns instead,
+    with O(c) calls on n-long columns. A max is exact in any order. numpy
+    sums each row pairwise, which for fewer than 8 terms is the plain
+    left-to-right fold done here; from 8 columns on, ``np.sum`` is kept.
+    """
+    c = logits.shape[1]
+    mx = functools.reduce(np.maximum, [logits[:, j] for j in range(c)])
+    for j in range(c):
+        np.subtract(logits[:, j], mx, out=out[:, j])
+    np.exp(out, out=out)
+    exps = [out[:, j] for j in range(c)]
+    total = functools.reduce(np.add, exps) if c < 8 else out.sum(axis=-1)
+    for e in exps:
+        e /= total
+    out -= onehot
+    out /= out.shape[0]
+    return out
+
+
 def train_classifier(x: Array, y: LabelVector | Array, kind: str, seed,
                      num_classes: int | None = None, epochs: int | None = None,
                      lr: float | None = None) -> Classifier:
     """Softmax classifier trained with full-batch Adam; deterministic per seed.
 
     ``logistic`` is a single softmax layer; ``mlp`` adds two relu hidden
-    layers of width 32.
+    layers of width 32. Labels must lie in ``[0, num_classes)``.
     """
     if isinstance(y, LabelVector):
         labels = y.labels
@@ -73,6 +97,9 @@ def train_classifier(x: Array, y: LabelVector | Array, kind: str, seed,
         labels = np.asarray(y, dtype=np.int64)
         if num_classes is None:
             num_classes = int(labels.max()) + 1
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} outside [0, {num_classes})")
     x = np.asarray(x, dtype=float)
     if x.shape[0] != labels.shape[0]:
         raise ValueError("features and labels misaligned")
@@ -94,10 +121,11 @@ def train_classifier(x: Array, y: LabelVector | Array, kind: str, seed,
 
     onehot = np.zeros((labels.size, num_classes))
     onehot[np.arange(labels.size), labels] = 1.0
+    ws, d_logits = {}, np.empty_like(onehot)
     for _ in range(epochs):
-        logits, cache = net.forward(x)
-        probs = softmax_rows(logits)
-        grads, _ = net.backward(cache, (probs - onehot) / labels.size, inputs=False)
+        logits, cache = net.forward(x, ws)
+        grads, _ = net.backward(cache, _logit_grad(logits, onehot, d_logits), ws,
+                                inputs=False)
         net.adam_step(grads, lr)
     return Classifier(net=net, kind=kind, num_classes=num_classes)
 

@@ -71,6 +71,8 @@ class DownstreamParams:
             raise ConfigError("n_seeds must be >= 1")
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.learning_rate is not None and self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be > 0")
         SplitSpec(self.train_fraction, self.few_shot_fraction)  # checks both fractions
 
 

@@ -65,6 +65,16 @@ class LktConfig:
             raise ValueError("temperature must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        if self.finetune_lr <= 0:
+            raise ValueError("finetune_lr must be > 0")
+        if self.latent_dim is not None and self.latent_dim < 1:
+            raise ValueError("latent_dim must be >= 1")
+        if self.hidden_width is not None and self.hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1")
+        if any(w < 1 for w in self.mine_hidden):
+            raise ValueError("mine_hidden widths must be >= 1")
 
     def loss_weights(self) -> tuple[float, float]:
         if self.beta_recons is not None:
@@ -548,8 +558,8 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
         ],
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    # one dumps call runs the C encoder; json.dump streams through the Python one
+    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
 def load_models(path):

@@ -9,11 +9,13 @@ from vfkt.data import LabelVector
 from vfkt.downstream import (
     RunReport,
     SplitSpec,
+    _logit_grad,
     config_fingerprint,
     evaluate,
     stratified_split,
     train_classifier,
 )
+from vfkt.numerics import DenseNet, softmax_rows
 
 
 def _blobs(n_per_class=40, d=4, gap=6.0, seed=0):
@@ -113,6 +115,13 @@ class TestClassifier:
         b = train_classifier(x, y, kind="logistic", seed=9, epochs=30)
         np.testing.assert_array_equal(a.net.layers[0].w, b.net.layers[0].w)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_label_outside_the_classes_rejected(self, bad):
+        x, y = _blobs(n_per_class=5)
+        y[3] = bad
+        with pytest.raises(ValueError, match=f"label {bad} outside \\[0, 2\\)"):
+            train_classifier(x, y, kind="logistic", seed=0, num_classes=2)
+
     def test_evaluate_guards(self):
         x, y = _blobs(n_per_class=5)
         clf = train_classifier(x, y, kind="logistic", seed=0, epochs=10)
@@ -120,6 +129,58 @@ class TestClassifier:
             evaluate(clf, np.empty((0, x.shape[1])), np.empty(0, dtype=int))
         with pytest.raises(ValueError, match="misaligned"):
             evaluate(clf, x, y[:-1])
+
+
+def _reference_classifier(x, labels, kind, seed, num_classes, epochs):
+    """The plain epoch loop that ``train_classifier`` must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    if kind == "logistic":
+        net = DenseNet.create([x.shape[1], num_classes], ["linear"], rng)
+        lr = 0.05
+    else:
+        net = DenseNet.create([x.shape[1], 32, 32, num_classes],
+                              ["relu", "relu", "linear"], rng)
+        lr = 0.01
+    onehot = np.zeros((labels.size, num_classes))
+    onehot[np.arange(labels.size), labels] = 1.0
+    for _ in range(epochs):
+        logits, cache = net.forward(x)
+        probs = softmax_rows(logits)
+        grads, _ = net.backward(cache, (probs - onehot) / labels.size, inputs=False)
+        net.adam_step(grads, lr)
+    return net
+
+
+class TestEpochKernel:
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("c", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 77, 1600])
+    def test_parameters_match_the_plain_loop_bit_for_bit(self, kind, c, n):
+        rng = np.random.default_rng(100 * c + n)
+        x = rng.normal(size=(n, 6)) * 3.0
+        labels = rng.permutation(np.arange(n) % c)
+        clf = train_classifier(x, labels, kind, seed=7, num_classes=c, epochs=40)
+        ref = _reference_classifier(x, labels, kind, seed=7, num_classes=c, epochs=40)
+        for got, want in zip(clf.net.layers, ref.layers):
+            assert got.w.tobytes() == want.w.tobytes()
+            assert got.b.tobytes() == want.b.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 8, 9])
+    @pytest.mark.parametrize("n", [2, 3, 77, 1600])
+    def test_helper_matches_the_softmax_expression(self, c, n):
+        rng = np.random.default_rng(10 * c + n)
+        logits = rng.normal(size=(n, c)) * 4.0
+        logits[0] += 1000.0
+        logits[-1] -= 1000.0
+        logits[n // 2] = 0.25  # every entry of the row tied
+        logits[1, : (c + 1) // 2] = logits[1].max()  # a tie at the row max
+        onehot = np.zeros((n, c))
+        onehot[np.arange(n), rng.integers(0, c, n)] = 1.0
+        want = (softmax_rows(logits) - onehot) / n
+        out = np.empty((n, c))
+        got = _logit_grad(logits, onehot, out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRunReport:

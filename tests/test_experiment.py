@@ -199,6 +199,14 @@ class TestExperimentConfig:
         ("lkt", {"mine_activation": "gelu"}, "mine_activation"),
         ("lkt", {"beta_recons": 2.0}, "together"),
         ("lkt", {"beta_mi": 0.5}, "together"),
+        ("lkt", {"learning_rate": 0.0}, "learning_rate"),
+        ("lkt", {"learning_rate": -1e-3}, "learning_rate"),
+        ("lkt", {"finetune_lr": 0.0}, "finetune_lr"),
+        ("lkt", {"latent_dim": 0}, "latent_dim"),
+        ("lkt", {"hidden_width": 0}, "hidden_width"),
+        ("lkt", {"mine_hidden": [64, 0]}, "mine_hidden"),
+        ("downstream", {"learning_rate": 0.0}, "learning_rate"),
+        ("downstream", {"learning_rate": -0.05}, "learning_rate"),
         ("downstream", {"train_fraction": 0.0}, "train_fraction"),
         ("downstream", {"train_fraction": 1.0}, "train_fraction"),
         ("downstream", {"few_shot_fraction": 0.0}, "few_shot_fraction"),
