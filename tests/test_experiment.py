@@ -199,6 +199,10 @@ class TestExperimentConfig:
         ("lkt", {"mine_activation": "gelu"}, "mine_activation"),
         ("lkt", {"beta_recons": 2.0}, "together"),
         ("lkt", {"beta_mi": 0.5}, "together"),
+        ("downstream", {"train_fraction": 0.0}, "train_fraction"),
+        ("downstream", {"train_fraction": 1.0}, "train_fraction"),
+        ("downstream", {"few_shot_fraction": 0.0}, "few_shot_fraction"),
+        ("downstream", {"few_shot_fraction": 1.5}, "few_shot_fraction"),
         ("lkt", {"learning_rate": 0.0}, "learning_rate"),
         ("lkt", {"learning_rate": -1e-3}, "learning_rate"),
         ("lkt", {"finetune_lr": 0.0}, "finetune_lr"),
@@ -207,10 +211,6 @@ class TestExperimentConfig:
         ("lkt", {"mine_hidden": [64, 0]}, "mine_hidden"),
         ("downstream", {"learning_rate": 0.0}, "learning_rate"),
         ("downstream", {"learning_rate": -0.05}, "learning_rate"),
-        ("downstream", {"train_fraction": 0.0}, "train_fraction"),
-        ("downstream", {"train_fraction": 1.0}, "train_fraction"),
-        ("downstream", {"few_shot_fraction": 0.0}, "few_shot_fraction"),
-        ("downstream", {"few_shot_fraction": 1.5}, "few_shot_fraction"),
     ])
     def test_invalid_lkt_and_downstream(self, section, bad, match):
         cls = {"lkt": LktConfig, "downstream": DownstreamParams}[section]
