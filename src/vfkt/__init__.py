@@ -3,7 +3,7 @@ overlapping samples, cross-attention feature transfer to local samples, and
 a downstream evaluation harness."""
 
 from .data import (FeatureMatrix, LabelVector, OverlapIndex, PartyState,
-                   load_csv, psi_intersect, split_partitions, standardize)
+                   load_csv, psi_intersect, standardize)
 from .experiment import ExperimentConfig, run_experiment, sweep
 from .frl import FederatedRepresentation, run_fedsvd, run_frl, run_vfedpca
 from .lkt import (LktConfig, LktModel, augment, apply_to_new_samples,
@@ -17,6 +17,5 @@ __all__ = [
     "SyntheticSpec", "apply_to_new_samples", "augment", "cross_attention",
     "generate_synthetic", "lkt_finetune_contrastive", "lkt_train",
     "load_csv", "mine_estimate", "psi_intersect", "run_experiment",
-    "run_fedsvd", "run_frl", "run_vfedpca", "split_partitions",
-    "standardize", "sweep",
+    "run_fedsvd", "run_frl", "run_vfedpca", "standardize", "sweep",
 ]

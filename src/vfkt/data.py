@@ -1,4 +1,4 @@
-"""Datasets, parties, sample alignment, and partitioning.
+"""Datasets, parties, and sample alignment.
 
 Value types here are immutable after construction: feature matrices freeze
 their numpy buffers so they can be shared between concurrently running
@@ -265,33 +265,6 @@ def psi_intersect(task_ids, data_ids) -> OverlapIndex:
         task_rows=np.asarray([task_pos[s] for s in shared], dtype=np.int64),
         data_rows=np.asarray([data_pos[s] for s in shared], dtype=np.int64),
     )
-
-
-def split_partitions(task: PartyState, overlap: OverlapIndex,
-                     ol_columns=None, nl_columns=None):
-    """Split the task party's table into overlap and non-overlap partitions.
-
-    Returns (overlap features, non-overlap features, non-overlap labels).
-    ``ol_columns``/``nl_columns`` configure the cross-domain column-schema
-    split; by default both partitions keep the full schema.
-    """
-    ids = task.features.ids
-    known = set(ids)
-    for sid in overlap.overlapping_ids:
-        if sid not in known:
-            raise DataError(f"overlap references unknown sample id {sid!r}")
-    ol_set = set(overlap.overlapping_ids)
-    nl_idx = [i for i, sid in enumerate(ids) if sid not in ol_set]
-    if not nl_idx:
-        raise DataError("task party has no non-overlapping samples")
-    h_ol = task.features.select_rows(overlap.task_rows)
-    h_nl = task.features.select_rows(nl_idx)
-    if ol_columns is not None:
-        h_ol = h_ol.select_columns(ol_columns)
-    if nl_columns is not None:
-        h_nl = h_nl.select_columns(nl_columns)
-    y_nl = task.labels.select_rows(nl_idx) if task.labels is not None else None
-    return h_ol, h_nl, y_nl
 
 
 @dataclass(frozen=True)

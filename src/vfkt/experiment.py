@@ -16,12 +16,10 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from . import lkt as lkt_mod
 from .bus import MessageBus
-from .data import (DataError, FeatureMatrix, LabelVector, PartyState, load_csv,
-                   psi_intersect, split_partitions, standardize)
+from .data import (DataError, FeatureMatrix, PartyState, load_csv, psi_intersect,
+                   standardize)
 from .downstream import (CONDITIONS, RunReport, SplitSpec, config_fingerprint,
                          evaluate, stratified_split, train_classifier)
 from .frl import run_frl
@@ -218,8 +216,9 @@ def _train_pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, task: PartySta
             raise DataError(
                 f"no overlapping samples with {party.party_id}; "
                 "transfer requires a non-empty intersection")
-        h_t_ol, _, _ = split_partitions(
-            task, overlap, ol_columns=list(cfg.ol_columns) if cfg.ol_columns else None)
+        h_t_ol = task.features.select_rows(overlap.task_rows)
+        if cfg.ol_columns:
+            h_t_ol = h_t_ol.select_columns(list(cfg.ol_columns))
         party_matrices = {
             task.party_id: h_t_ol.values,
             party.party_id: party.features.values[overlap.data_rows],

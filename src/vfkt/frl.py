@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bus import MessageBus
-from .data import FeatureMatrix, OverlapIndex
+from .data import OverlapIndex
 from .numerics import Array, haar_blocks, power_iteration, random_orthogonal, svd
 
 if TYPE_CHECKING:
@@ -83,8 +83,9 @@ def fedsvd_keygen(overlap_size: int, feature_sizes: list[int], seed,
 
     Each party receives the same blocks of A, of at most ``block_size``
     rows (``MASK_BLOCK`` when None), and the rows of B corresponding to its
-    feature block; stacking all slices vertically reconstructs B. B is
-    dense unless ``block_size`` is given.
+    feature block; stacking all slices vertically reconstructs B. B is one
+    dense Haar draw of sum(feature_sizes) rows, made after A's blocks from
+    the same generator; ``block_size`` shapes A only.
     """
     if overlap_size < 1:
         raise ProtocolError("overlap_size must be >= 1")
@@ -93,7 +94,7 @@ def fedsvd_keygen(overlap_size: int, feature_sizes: list[int], seed,
     rng = np.random.default_rng(seed)
     total = sum(feature_sizes)
     a_blocks = tuple(haar_blocks(overlap_size, rng, block_size or MASK_BLOCK))
-    b = random_orthogonal(total, rng, block_size=block_size)
+    b = random_orthogonal(total, rng)
     pairs = []
     start = 0
     for f in feature_sizes:

@@ -15,7 +15,7 @@ finite differences in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,8 @@ class LktConfig:
             raise ValueError("temperature must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.finetune_epochs < 0:
+            raise ValueError("finetune_epochs must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.finetune_lr <= 0:
@@ -415,16 +417,18 @@ def _mean_cosine_and_grad(e: Array, z: Array):
     return sim, grad
 
 
+def _contrastive(sims: list[float], tau: float):
+    """Softmax p over the pairs' similarities / ``tau``, and each pair's
+    loss -log p_i."""
+    p = softmax_rows(np.asarray(sims).reshape(1, -1) / tau).ravel()
+    return p, [-np.log(max(p_i, 1e-300)) for p_i in p]
+
+
 def contrastive_loss(models: list[LktModel], x: Array, targets: list[Array], i: int) -> float:
     """Loss for pair i: its encoder/readout similarity against all pairs'."""
-    tau = models[i].temperature
-    sims = np.array([
-        _mean_cosine_and_grad(m.enc.forward(x)[0], t)[0]
-        for m, t in zip(models, targets)
-    ])
-    logits = sims / tau
-    e = np.exp(logits - np.max(logits))
-    return float(-np.log(e[i] / np.sum(e)))
+    sims = [_mean_cosine_and_grad(m.enc.forward(x)[0], t)[0]
+            for m, t in zip(models, targets)]
+    return float(_contrastive(sims, models[i].temperature)[1][i])
 
 
 def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
@@ -433,8 +437,8 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
 
     Only encoders move; readout targets are frozen at their pre-fine-tune
     values, read over each model's stored attention ``keys``. With a single
-    pair the loss is identically zero and parameters receive only
-    zero-gradient steps.
+    pair the loss is identically zero: no step is taken, and the history
+    records a zero loss per epoch.
     """
     models = [m.copy() for m in models]
     n = len(models)
@@ -459,17 +463,13 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
                 sims.append(sim)
                 grads_e.append(g)
                 caches.append(cache)
-            p = softmax_rows(np.asarray(sims).reshape(1, -1) / tau).ravel()
-            batch_loss = 0.0
-            enc_grads = []
-            for i, m in enumerate(models):
-                d_sim = (p[i] - 1.0) / tau  # only enc_i's own similarity backprops
-                g, _ = m.enc.backward(caches[i], d_sim * grads_e[i], inputs=False)
-                enc_grads.append(g)
-                batch_loss += -np.log(max(p[i], 1e-300))
+            p, pair_losses = _contrastive(sims, tau)
+            # only enc_i's own similarity backprops: d(loss_i)/d(sim_i) = (p_i - 1) / tau
+            enc_grads = [m.enc.backward(cache, (p_i - 1.0) / tau * g, inputs=False)[0]
+                         for m, cache, g, p_i in zip(models, caches, grads_e, p)]
             for m, g in zip(models, enc_grads):
                 m.enc.adam_step(g, config.finetune_lr)
-            ep_loss += batch_loss / n
+            ep_loss += sum(pair_losses) / n
             n_batches += 1
         losses.append(ep_loss / max(n_batches, 1))
     for m in models:

@@ -68,47 +68,34 @@ def svd(m: Array) -> SvdResult:
     return SvdResult(u=u, sigma=sigma, v=v)
 
 
-def random_orthogonal(n: int, seed, block_size: int | None = None) -> Array:
-    """Haar-distributed random orthogonal matrix via sign-corrected QR.
+def random_orthogonal(n: int, seed) -> Array:
+    """Haar-distributed random orthogonal n x n matrix via sign-corrected QR.
 
-    With ``block_size`` set, returns the block-diagonal orthogonal matrix
-    assembled from ``haar_blocks`` (cheaper for large n, weaker mixing).
+    Draws one n x n standard-normal matrix from ``seed`` (a Generator is
+    used as is, so successive calls on one generator give successive draws).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _rng(seed)
-    if block_size is None:
-        return _haar(n, rng)
-    q = np.zeros((n, n))
-    start = 0
-    for block in haar_blocks(n, rng, block_size):
-        stop = start + block.shape[0]
-        q[start:stop, start:stop] = block
-        start = stop
-    return q
+    q, r = np.linalg.qr(_rng(seed).standard_normal((n, n)))
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    return q * d
 
 
 def haar_blocks(n: int, seed, block_size: int) -> list[Array]:
     """The diagonal blocks of a block-diagonal Haar orthogonal n x n matrix.
 
     Blocks of ``block_size`` rows (the last one smaller when it does not
-    divide n) are drawn in order from one generator, so ``n <= block_size``
-    gives the single block ``random_orthogonal(n, seed)``.
+    divide n) are successive ``random_orthogonal`` draws from one generator,
+    so ``n <= block_size`` gives the single block ``random_orthogonal(n, seed)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     rng = _rng(seed)
-    return [_haar(min(block_size, n - start), rng) for start in range(0, n, block_size)]
-
-
-def _haar(n: int, rng: np.random.Generator) -> Array:
-    z = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return q * d
+    return [random_orthogonal(min(block_size, n - start), rng)
+            for start in range(0, n, block_size)]
 
 
 @dataclass(frozen=True)
@@ -116,37 +103,25 @@ class PowerIterationResult:
     vector: Array
     value: float
     value_history: tuple[float, ...]
-    flagged: bool  # zero matrix or non-unique dominant eigenvalue suspected
+    flagged: bool  # non-unique dominant eigenvalue suspected
 
 
-def power_iteration(a: Array | Callable[[Array], Array], iters: int,
-                    init: Array | None = None) -> PowerIterationResult:
-    """Dominant eigenpair of a symmetric PSD matrix by power iteration.
+def power_iteration(apply: Callable[[Array], Array], iters: int,
+                    init: Array) -> PowerIterationResult:
+    """Dominant eigenpair of a symmetric PSD operator by power iteration.
 
-    ``a`` is the matrix itself or a callable ``x -> A x`` that applies it
-    without forming it. Each product also serves the Rayleigh quotient of
-    the iterate it came from, so a run takes ``iters + 1`` products. The
-    returned value is the Rayleigh quotient of the final iterate. A zero
-    matrix returns value 0 with the (normalized) init direction, flagged;
-    a callable is not tested for zero. When init is omitted, a fixed
-    non-axis-aligned direction is used; a callable needs an init.
+    ``apply`` is a callable ``x -> A x`` that applies the matrix without
+    forming it, and ``init`` a non-zero start vector. Each product also
+    serves the Rayleigh quotient of the iterate it came from, so a run takes
+    ``iters + 1`` products. The returned value is the Rayleigh quotient of
+    the final iterate. A zero operator is not detected; callers that can
+    meet one check their input first.
     """
-    if callable(a):
-        if init is None:
-            raise ValueError("power_iteration needs an init vector for an operator")
-        apply = a
-    else:
-        a = np.asarray(a, dtype=float)
-        if init is None:
-            init = np.ones(a.shape[0]) + 1e-3 * np.arange(a.shape[0])
-        apply = a.__matmul__
     x = np.asarray(init, dtype=float).copy()
     nrm = np.linalg.norm(x)
     if nrm == 0:
         raise ValueError("power_iteration init vector must be non-zero")
     x /= nrm
-    if not callable(a) and not np.any(a):
-        return PowerIterationResult(vector=x, value=0.0, value_history=(0.0,), flagged=True)
 
     history: list[float] = []
     y = apply(x)

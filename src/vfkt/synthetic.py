@@ -10,7 +10,7 @@ joint structure recoverable from overlapping samples does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,10 +1,11 @@
-"""Tests for dataset value types, CSV ingestion, alignment, and partitioning."""
+"""Tests for dataset value types, CSV ingestion, alignment, and the pipeline's partition."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vfkt import experiment, lkt
 from vfkt.data import (
     DataError,
     FeatureMatrix,
@@ -12,10 +13,10 @@ from vfkt.data import (
     PartyState,
     load_csv,
     psi_intersect,
-    split_partitions,
     standardize,
     write_csv,
 )
+from vfkt.synthetic import SyntheticSpec
 
 
 def _matrix(n=4, d=3, seed=0):
@@ -229,44 +230,75 @@ class TestPsi:
 
 
 class TestSplitPartitions:
-    def _task(self, n=5):
-        m = _matrix(n=n, d=3, seed=1)
-        lv = LabelVector(ids=m.ids, labels=np.arange(n) % 2, num_classes=2)
-        return PartyState(party_id="t", role="task", features=m, labels=lv)
+    """The pipeline's split of the task table: each pair trains on the rows
+    it shares with the task party and transfers to the rows no data party
+    holds."""
 
-    def test_split_is_a_partition(self):
-        task = self._task(5)
-        ov = psi_intersect(task.features.ids, ["s1", "s3", "zz"])
-        h_ol, h_nl, y_nl = split_partitions(task, ov)
-        assert set(h_ol.ids) == {"s1", "s3"}
-        assert set(h_nl.ids) == {"s0", "s2", "s4"}
-        assert set(h_ol.ids) | set(h_nl.ids) == set(task.features.ids)
-        assert y_nl.ids == h_nl.ids
-        # rows come from the original table untouched
-        for sid in h_nl.ids:
-            i = task.features.ids.index(sid)
-            np.testing.assert_array_equal(
-                h_nl.values[h_nl.ids.index(sid)], task.features.values[i]
-            )
+    def _dataset(self, shared):
+        m = FeatureMatrix(ids=tuple(f"s{i:02d}" for i in range(30)),
+                          columns=("c0", "c1", "c2"),
+                          values=np.random.default_rng(1).normal(size=(30, 3)))
+        lv = LabelVector(ids=m.ids, labels=np.arange(30) % 2, num_classes=2)
+        task = PartyState(party_id="t", role="task", features=m, labels=lv)
+        ids = tuple(shared) + ("zz",)
+        party = PartyState(party_id="d", role="data", features=FeatureMatrix(
+            ids=ids, columns=("d0", "d1"),
+            values=np.random.default_rng(2).normal(size=(len(ids), 2))))
+        return experiment.Dataset(task=task, data_parties=[party])
 
-    def test_column_schema_split(self):
-        task = self._task(5)
-        ov = psi_intersect(task.features.ids, ["s0"])
-        h_ol, h_nl, _ = split_partitions(task, ov, ol_columns=["c0"], nl_columns=["c1", "c2"])
-        assert h_ol.columns == ("c0",)
-        assert h_nl.columns == ("c1", "c2")
+    def _run(self, monkeypatch, ds, **cfg):
+        """One unitrans seed; returns what the pipeline handed to LKT training
+        and to the downstream split, and the run's bus."""
+        seen = {}
+        train, split = lkt.lkt_train, experiment.stratified_split
 
-    def test_unknown_overlap_id_rejected(self):
-        task = self._task(3)
-        ov = psi_intersect(["s0", "ghost"], ["ghost", "s0"])
-        with pytest.raises(DataError, match="'ghost'"):
-            split_partitions(task, ov)
+        def lkt_train(h_t_ol, h_t_nl, *args, **kwargs):
+            seen.update(h_t_ol=h_t_ol, h_t_nl=h_t_nl)
+            return train(h_t_ol, h_t_nl, *args, **kwargs)
 
-    def test_full_overlap_rejected(self):
-        task = self._task(3)
-        ov = psi_intersect(task.features.ids, task.features.ids)
-        with pytest.raises(DataError, match="no non-overlapping"):
-            split_partitions(task, ov)
+        def stratified_split(labels, spec):
+            seen["labels"] = labels
+            return split(labels, spec)
+
+        monkeypatch.setattr(lkt, "lkt_train", lkt_train)
+        monkeypatch.setattr(experiment, "stratified_split", stratified_split)
+        config = experiment.ExperimentConfig(
+            synthetic=SyntheticSpec(),
+            lkt=lkt.LktConfig(latent_dim=2, epochs=1, hidden_width=3, mine_hidden=(3, 3),
+                              batch_size=8),
+            downstream=experiment.DownstreamParams(n_seeds=1, epochs=5), **cfg)
+        result = experiment.run_pipeline_once(config, "unitrans", ds, run_seed=0)
+        return seen, result.bus
+
+    def test_split_is_a_partition(self, monkeypatch):
+        ds = self._dataset(["s03", "s01", "s17"])
+        seen, _ = self._run(monkeypatch, ds)
+        task = ds.task
+        h_ol, h_nl = seen["h_t_ol"], seen["h_t_nl"]
+        assert h_ol.ids == ("s01", "s03", "s17")
+        assert set(h_nl.ids) == set(task.features.ids) - {"s01", "s03", "s17"}
+        assert len(h_nl.ids) == 27
+        # rows come from the original table untouched, labels aligned with them
+        for part in (h_ol, h_nl):
+            rows = [task.features.ids.index(sid) for sid in part.ids]
+            np.testing.assert_array_equal(part.values, task.features.values[rows])
+        np.testing.assert_array_equal(
+            seen["labels"], [task.labels.labels[task.features.ids.index(sid)]
+                             for sid in h_nl.ids])
+
+    def test_column_schema_split(self, monkeypatch):
+        ds = self._dataset(["s00", "s05", "s09", "s21"])
+        seen, bus = self._run(monkeypatch, ds, ol_columns=("c0",), nl_columns=("c1", "c2"))
+        assert seen["h_t_ol"].columns == ("c0",)
+        assert seen["h_t_nl"].columns == ("c1", "c2")
+        # the task party's FedSVD block is its one overlap column on 4 rows
+        (task_keys,) = [r for r in bus.messages_of_kind("mask_keys") if r["to"] == "t"]
+        assert task_keys["shape"] == [[4, 4], [1, 3]]
+
+    def test_full_overlap_rejected(self, monkeypatch):
+        ds = self._dataset([f"s{i:02d}" for i in range(30)])
+        with pytest.raises(DataError, match="no non-overlapping samples"):
+            self._run(monkeypatch, ds)
 
 
 class TestStandardize:

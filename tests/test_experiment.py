@@ -211,6 +211,7 @@ class TestExperimentConfig:
         ("lkt", {"mine_hidden": [64, 0]}, "mine_hidden"),
         ("downstream", {"learning_rate": 0.0}, "learning_rate"),
         ("downstream", {"learning_rate": -0.05}, "learning_rate"),
+        ("lkt", {"finetune_epochs": -2}, "finetune_epochs"),
     ])
     def test_invalid_lkt_and_downstream(self, section, bad, match):
         cls = {"lkt": LktConfig, "downstream": DownstreamParams}[section]

@@ -126,6 +126,22 @@ class TestFedSvdSteps:
         (a,) = fedsvd_keygen(n, [3, 4], seed=11)[0].a_blocks
         np.testing.assert_array_equal(a, random_orthogonal(n, np.random.default_rng(11)))
 
+    def test_column_mask_is_dense_below_the_block_size(self):
+        # block_size shapes A only: B mixes every feature of every party
+        pairs = fedsvd_keygen(6, [3, 5], seed=2, block_size=2)
+        b = np.vstack([p.b_k for p in pairs])
+        np.testing.assert_allclose(b @ b.T, np.eye(8), atol=1e-10)
+        assert np.all(b != 0)
+
+    @pytest.mark.parametrize("n, block_size", [(8, None), (20, 8), (30, 8)])
+    def test_column_mask_is_the_haar_draw_after_the_row_blocks(self, n, block_size):
+        pairs = fedsvd_keygen(n, [3, 5], seed=6, block_size=block_size)
+        rng = np.random.default_rng(6)
+        for block in pairs[0].a_blocks:
+            np.testing.assert_array_equal(block, random_orthogonal(block.shape[0], rng))
+        np.testing.assert_array_equal(np.vstack([p.b_k for p in pairs]),
+                                      random_orthogonal(8, rng))
+
     def test_large_overlap_is_split_into_blocks(self):
         pair = fedsvd_keygen(2 * MASK_BLOCK + 7, [3], seed=0)[0]
         assert [b.shape for b in pair.a_blocks] == [(MASK_BLOCK,) * 2] * 2 + [(7, 7)]
