@@ -21,6 +21,10 @@ class DataError(ValueError):
     """Raised for ingestion and alignment problems (bad cells, duplicate IDs, unknown IDs)."""
 
 
+class ConfigError(ValueError):
+    """Raised for a bad config: an unknown key, a wrong type, or a value a section rejects."""
+
+
 def _freeze(a: Array) -> Array:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)

@@ -1,4 +1,4 @@
-"""Task-specific learning: classifiers, splits, and run reports."""
+"""Task-specific learning: the ``downstream`` config section, classifiers, splits, reports."""
 
 from __future__ import annotations
 
@@ -9,41 +9,53 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelVector
+from .data import ConfigError
 from .numerics import Array, DenseNet
 
 CONDITIONS = ("local", "unitrans", "ablation-no-mi", "ablation-no-cl")
 
 
 @dataclass(frozen=True)
-class SplitSpec:
+class DownstreamParams:
+    model: str = "logistic"  # logistic | mlp
     train_fraction: float = 0.8
     few_shot_fraction: float | None = None
-    seed: int = 0
+    n_seeds: int = 10
+    epochs: int | None = None  # None -> per-model default
+    learning_rate: float | None = None
 
     def __post_init__(self):
+        if self.model not in ("logistic", "mlp"):
+            raise ConfigError(f"unknown downstream model {self.model!r}")
+        if self.n_seeds < 1:
+            raise ConfigError("n_seeds must be >= 1")
+        if self.epochs is not None and self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.learning_rate is not None and self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be > 0")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
+            raise ConfigError("train_fraction must lie in (0, 1)")
         if self.few_shot_fraction is not None and not 0.0 < self.few_shot_fraction <= 1.0:
-            raise ValueError("few_shot_fraction must lie in (0, 1]")
+            raise ConfigError("few_shot_fraction must lie in (0, 1]")
 
 
-def stratified_split(labels: Array, spec: SplitSpec):
-    """Per-class train/test split; few-shot subsamples the training side."""
-    rng = np.random.default_rng(spec.seed)
+def stratified_split(labels: Array, params: DownstreamParams, seed):
+    """Per-class train/test split by ``params.train_fraction``; with
+    ``params.few_shot_fraction`` set, the training side is subsampled."""
+    rng = np.random.default_rng(seed)
     labels = np.asarray(labels)
     train_idx, test_idx = [], []
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
         members = members[rng.permutation(members.size)]
-        n_train = max(1, int(round(spec.train_fraction * members.size)))
+        n_train = max(1, int(round(params.train_fraction * members.size)))
         n_train = min(n_train, members.size - 1) if members.size > 1 else n_train
         train_idx.extend(members[:n_train])
         test_idx.extend(members[n_train:])
     train_idx = np.sort(np.asarray(train_idx, dtype=int))
     test_idx = np.sort(np.asarray(test_idx, dtype=int))
-    if spec.few_shot_fraction is not None:
-        keep = max(2, int(round(spec.few_shot_fraction * train_idx.size)))
+    if params.few_shot_fraction is not None:
+        keep = max(2, int(round(params.few_shot_fraction * train_idx.size)))
         train_idx = np.sort(rng.permutation(train_idx)[:keep])
     return train_idx, test_idx
 
@@ -82,21 +94,18 @@ def _logit_grad(logits: Array, onehot: Array, out: Array) -> Array:
     return out
 
 
-def train_classifier(x: Array, y: LabelVector | Array, kind: str, seed,
+def train_classifier(x: Array, y: Array, kind: str, seed,
                      num_classes: int | None = None, epochs: int | None = None,
                      lr: float | None = None) -> Classifier:
     """Softmax classifier trained with full-batch Adam; deterministic per seed.
 
     ``logistic`` is a single softmax layer; ``mlp`` adds two relu hidden
-    layers of width 32. Labels must lie in ``[0, num_classes)``.
+    layers of width 32. Labels must lie in ``[0, num_classes)``; without
+    ``num_classes``, the largest label plus one.
     """
-    if isinstance(y, LabelVector):
-        labels = y.labels
-        num_classes = y.num_classes
-    else:
-        labels = np.asarray(y, dtype=np.int64)
-        if num_classes is None:
-            num_classes = int(labels.max()) + 1
+    labels = np.asarray(y, dtype=np.int64)
+    if num_classes is None:
+        num_classes = int(labels.max()) + 1
     bad = labels[(labels < 0) | (labels >= num_classes)]
     if bad.size:
         raise ValueError(f"label {bad[0]} outside [0, {num_classes})")
@@ -130,8 +139,8 @@ def train_classifier(x: Array, y: LabelVector | Array, kind: str, seed,
     return Classifier(net=net, kind=kind, num_classes=num_classes)
 
 
-def evaluate(classifier: Classifier, x: Array, y: LabelVector | Array) -> float:
-    labels = y.labels if isinstance(y, LabelVector) else np.asarray(y, dtype=np.int64)
+def evaluate(classifier: Classifier, x: Array, y: Array) -> float:
+    labels = np.asarray(y, dtype=np.int64)
     x = np.asarray(x, dtype=float)
     if x.shape[0] == 0:
         raise ValueError("empty test set")
@@ -148,7 +157,6 @@ class RunReport:
     config_hash: str
     axis: str | None = None
     value: float | None = None
-    wall_clock_s: float | None = None
 
     def __post_init__(self):
         if len(self.seeds) != len(self.accuracies):
@@ -162,9 +170,10 @@ class RunReport:
     def std(self) -> float:
         return float(np.std(self.accuracies))
 
-    def to_json(self, include_timing: bool = False) -> str:
-        # Timing is excluded by default so reruns of the same config produce
-        # byte-identical report files; sweeps persist timing separately.
+    def to_json(self) -> str:
+        # A report holds no timing, so reruns of the same config produce
+        # byte-identical files; sweeps persist timing in timings.json. The
+        # wall_clock_s key stays, always null, for readers of the format.
         doc = {
             "condition": self.condition,
             "axis": self.axis,
@@ -173,7 +182,7 @@ class RunReport:
             "accuracies": self.accuracies,
             "mean": self.mean,
             "std": self.std,
-            "wall_clock_s": self.wall_clock_s if include_timing else None,
+            "wall_clock_s": None,
             "config_hash": self.config_hash,
         }
         return json.dumps(doc, sort_keys=True)
@@ -183,8 +192,7 @@ class RunReport:
         doc = json.loads(text)
         return cls(condition=doc["condition"], seeds=doc["seeds"],
                    accuracies=doc["accuracies"], config_hash=doc["config_hash"],
-                   axis=doc.get("axis"), value=doc.get("value"),
-                   wall_clock_s=doc.get("wall_clock_s"))
+                   axis=doc.get("axis"), value=doc.get("value"))
 
 
 def config_fingerprint(doc: dict) -> str:

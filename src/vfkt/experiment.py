@@ -1,7 +1,9 @@
 """Experiment orchestration: configs, the end-to-end pipeline, sweeps.
 
-A run is fully determined by its config: every random draw flows from the
-config seed, reports serialize without timing by default, and rerunning a
+``ExperimentConfig`` gathers the config sections, each defined in the
+module that reads it, and re-exports ``FrlParams``, ``DownstreamParams``
+and ``ConfigError``. A run is fully determined by its config: every random
+draw flows from the config seed, reports carry no timing, and rerunning a
 config reproduces report files byte for byte. Protocol traffic from the
 federated step is recorded per run so privacy and communication contracts
 can be asserted (or audited) from the trace alone.
@@ -18,60 +20,13 @@ from typing import get_args, get_origin, get_type_hints
 
 from . import lkt as lkt_mod
 from .bus import MessageBus
-from .data import (DataError, FeatureMatrix, PartyState, load_csv, psi_intersect,
-                   standardize)
-from .downstream import (CONDITIONS, RunReport, SplitSpec, config_fingerprint,
+from .data import (ConfigError, DataError, FeatureMatrix, PartyState, load_csv,
+                   psi_intersect, standardize)
+from .downstream import (CONDITIONS, DownstreamParams, RunReport, config_fingerprint,
                          evaluate, stratified_split, train_classifier)
-from .frl import run_frl
+from .frl import FrlParams, run_frl
 from .lkt import LktConfig
 from .synthetic import SyntheticSpec, generate_synthetic
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class FrlParams:
-    method: str = "fedsvd"  # fedsvd | vfedpca
-    block_size: int | None = None
-    iter_num: int = 100
-    period_num: int = 10
-    warm_start: bool = True
-    rank: int | None = None
-
-    def __post_init__(self):
-        if self.method not in ("fedsvd", "vfedpca"):
-            raise ConfigError(f"unknown FRL method {self.method!r}")
-        if self.iter_num < 1:
-            raise ConfigError("frl.iter_num must be >= 1")
-        if self.period_num < 1:
-            raise ConfigError("frl.period_num must be >= 1")
-        for name in ("rank", "block_size"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"frl.{name} must be None or >= 1")
-
-
-@dataclass(frozen=True)
-class DownstreamParams:
-    model: str = "logistic"  # logistic | mlp
-    train_fraction: float = 0.8
-    few_shot_fraction: float | None = None
-    n_seeds: int = 10
-    epochs: int | None = None  # None -> per-model default
-    learning_rate: float | None = None
-
-    def __post_init__(self):
-        if self.model not in ("logistic", "mlp"):
-            raise ConfigError(f"unknown downstream model {self.model!r}")
-        if self.n_seeds < 1:
-            raise ConfigError("n_seeds must be >= 1")
-        if self.epochs is not None and self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        SplitSpec(self.train_fraction, self.few_shot_fraction)  # checks both fractions
 
 
 @dataclass(frozen=True)
@@ -80,6 +35,10 @@ class CsvSource:
     data_paths: tuple[str, ...]
     id_column: str = "id"
     label_column: str = "y"
+
+    def __post_init__(self):
+        if not self.data_paths:
+            raise ConfigError("data_paths must name at least one data party")
 
 
 @dataclass(frozen=True)
@@ -124,7 +83,9 @@ def from_dict(cls, doc, path: str = ""):
     built recursively and a list becomes a tuple for a tuple field. An
     unknown key, a missing required key, a section that is not an object, or
     a value whose type is not the field's (a bool is no int, an int is a
-    float) raises ConfigError naming its dotted path (``lkt.epoch``).
+    float) raises ConfigError naming its dotted path (``lkt.epoch``); a
+    value the section itself rejects raises it as ``<path>: <message>``
+    (``lkt: epochs must be >= 1``).
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'} must be an object, got {type(doc).__name__}")
@@ -137,7 +98,13 @@ def from_dict(cls, doc, path: str = ""):
         if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing required key {prefix}{f.name}")
     hints = get_type_hints(cls)
-    return cls(**{k: _field_value(hints[k], v, prefix + k) for k, v in doc.items()})
+    values = {k: _field_value(hints[k], v, prefix + k) for k, v in doc.items()}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        if not path:
+            raise
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _field_value(tp, value, path: str):
@@ -273,10 +240,7 @@ def run_pipeline_once(cfg: ExperimentConfig, condition: str, dataset: Dataset,
                                                       seed=run_seed * 1000 + 999)
         x = lkt_mod.augment(models, h_t_nl).matrix.values
 
-    split = SplitSpec(train_fraction=cfg.downstream.train_fraction,
-                      few_shot_fraction=cfg.downstream.few_shot_fraction,
-                      seed=run_seed)
-    train_idx, test_idx = stratified_split(y_nl.labels, split)
+    train_idx, test_idx = stratified_split(y_nl.labels, cfg.downstream, run_seed)
     clf = train_classifier(x[train_idx], y_nl.labels[train_idx], cfg.downstream.model,
                            seed=run_seed, num_classes=y_nl.num_classes,
                            epochs=cfg.downstream.epochs, lr=cfg.downstream.learning_rate)
@@ -294,17 +258,14 @@ def run_condition(cfg: ExperimentConfig, condition: str, dataset: Dataset | None
         dataset = prepare_dataset(cfg)
     seeds = [cfg.seed + i for i in range(cfg.downstream.n_seeds)]
     results = []
-    t0 = time.perf_counter()
     for s in seeds:
         try:
             results.append(run_pipeline_once(cfg, condition, dataset, s))
         except Exception as exc:
             raise RuntimeError(f"pipeline failed (condition={condition}, seed={s}): {exc}") from exc
-    wall = time.perf_counter() - t0
     report = RunReport(condition=condition, seeds=seeds,
                        accuracies=[r.accuracy for r in results],
-                       config_hash=cfg.config_hash, axis=axis, value=value,
-                       wall_clock_s=wall)
+                       config_hash=cfg.config_hash, axis=axis, value=value)
     return report, results
 
 
@@ -377,9 +338,6 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None):
         elif axis == "data_features":
             spec = replace(spec, data_features=tuple([v] * len(spec.data_features)))
         elif axis == "overlap_count":
-            if v >= spec.n_task_samples:
-                raise ConfigError(
-                    f"sweep axis overlap_count: value {v} >= n_task_samples")
             spec = replace(spec, overlap_count=v)
         elif axis == "num_data_hospitals":
             spec = replace(spec, data_features=tuple([spec.data_features[0]] * v))

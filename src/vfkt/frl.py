@@ -19,25 +19,44 @@ party:
     table through the aggregate direction.
 
 Pure per-step functions are exposed for testing; ``run_fedsvd`` /
-``run_vfedpca`` drive them as actors exchanging immutable messages.
+``run_vfedpca`` drive them as actors exchanging immutable messages, with
+their settings read from ``FrlParams``, the ``frl`` config section.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bus import MessageBus
-from .data import OverlapIndex
+from .data import ConfigError, OverlapIndex
 from .numerics import Array, haar_blocks, power_iteration, random_orthogonal, svd
-
-if TYPE_CHECKING:
-    from .experiment import FrlParams
 
 # Rows per diagonal block of the FedSVD row mask when no block size is given.
 MASK_BLOCK = 256
+
+
+@dataclass(frozen=True)
+class FrlParams:
+    method: str = "fedsvd"  # fedsvd | vfedpca
+    block_size: int | None = None  # fedsvd row-mask block rows; None -> MASK_BLOCK
+    iter_num: int = 100  # vfedpca local iterations in all
+    period_num: int = 10  # vfedpca local iterations per round, with warm_start
+    warm_start: bool = True
+    rank: int | None = None  # fedsvd columns kept; None keeps all
+
+    def __post_init__(self):
+        if self.method not in ("fedsvd", "vfedpca"):
+            raise ConfigError(f"unknown FRL method {self.method!r}")
+        if self.iter_num < 1:
+            raise ConfigError("iter_num must be >= 1")
+        if self.period_num < 1:
+            raise ConfigError("period_num must be >= 1")
+        for name in ("rank", "block_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be None or >= 1")
 
 
 class ProtocolError(RuntimeError):
@@ -148,8 +167,8 @@ def fedsvd_recover(u_hat: Array, a_blocks: tuple[Array, ...]) -> Array:
 
 
 def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
-               overlap: OverlapIndex, seed, block_size: int | None = None,
-               rank: int | None = None) -> FederatedRepresentation:
+               overlap: OverlapIndex, seed,
+               params: FrlParams = FrlParams()) -> FederatedRepresentation:
     """Execute the masked-factorization protocol between parties, key generator, and server.
 
     ``party_matrices`` maps party id -> its overlap-rows feature block, task
@@ -164,7 +183,7 @@ def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
     if any(party_matrices[p].shape[0] != n for p in order):
         raise ProtocolError("party matrices must have one row per overlapping sample")
 
-    pairs = fedsvd_keygen(n, sizes, seed, block_size=block_size)
+    pairs = fedsvd_keygen(n, sizes, seed, block_size=params.block_size)
     for pid, pair in zip(order, pairs):
         bus.send("keygen", pid, "mask_keys", (*pair.a_blocks, pair.b_k))
 
@@ -181,7 +200,7 @@ def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
 
     u_hat = bus.recv("server", task_id).payload
     h_fed = fedsvd_recover(u_hat, pairs[order.index(task_id)].a_blocks)
-    return FederatedRepresentation(matrix=h_fed[:, :rank], method="fedsvd", overlap=overlap)
+    return FederatedRepresentation(matrix=h_fed[:, :params.rank], method="fedsvd", overlap=overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +277,15 @@ def vfedpca_reconstruct(h_t_ol: Array, u: Array) -> Array:
 
 
 def run_vfedpca(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
-                overlap: OverlapIndex, seed, iter_num: int = 100,
-                period_num: int = 10, warm_start: bool = True) -> FederatedRepresentation:
+                overlap: OverlapIndex, seed,
+                params: FrlParams = FrlParams()) -> FederatedRepresentation:
     """Execute the eigenvector-aggregation protocol.
 
-    With ``warm_start`` on, parties re-sync their iteration vector from the
-    current aggregate every ``period_num`` local iterations; otherwise all
-    iterations run locally and shares are uploaded once. The result counts
-    the local runs, over all parties and rounds, that came back flagged;
-    the flag stays with its party and is not uploaded.
+    With ``params.warm_start`` on, parties re-sync their iteration vector from
+    the current aggregate every ``period_num`` local iterations; otherwise all
+    ``iter_num`` iterations run locally and shares are uploaded once. The
+    result counts the local runs, over all parties and rounds, that came back
+    flagged; the flag stays with its party and is not uploaded.
     """
     if task_id not in party_matrices:
         raise ProtocolError(f"task party {task_id!r} not among participants")
@@ -276,8 +295,9 @@ def run_vfedpca(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
     init = rng.standard_normal(n)
     init /= np.linalg.norm(init)
 
-    rounds = ([min(period_num, iter_num - done) for done in range(0, iter_num, period_num)]
-              if warm_start else [iter_num])
+    total, period = params.iter_num, params.period_num
+    rounds = ([min(period, total - d) for d in range(0, total, period)]
+              if params.warm_start else [total])
 
     current_init = init
     u = None
@@ -310,9 +330,5 @@ def run_frl(bus: MessageBus, params: FrlParams, task_id: str,
     """Run the protocol ``params.method`` names, after a begin marker from the task party."""
     bus.send(task_id, "server", "frl_begin", params.method)
     bus.recv(task_id, "server")
-    if params.method == "fedsvd":
-        return run_fedsvd(bus, task_id, party_matrices, overlap, seed,
-                          block_size=params.block_size, rank=params.rank)
-    return run_vfedpca(bus, task_id, party_matrices, overlap, seed,
-                       iter_num=params.iter_num, period_num=params.period_num,
-                       warm_start=params.warm_start)
+    run = run_fedsvd if params.method == "fedsvd" else run_vfedpca
+    return run(bus, task_id, party_matrices, overlap, seed, params)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureMatrix
+from .data import ConfigError, FeatureMatrix
 from .frl import FederatedRepresentation
 from .numerics import ACTIVATIONS, AdamState, Array, DenseNet, _buf, logmeanexp, softmax_rows
 
@@ -54,29 +54,29 @@ class LktConfig:
     def __post_init__(self):
         object.__setattr__(self, "mine_hidden", tuple(self.mine_hidden))
         if (self.beta_recons is None) != (self.beta_mi is None):
-            raise ValueError("beta_recons and beta_mi must be set together")
+            raise ConfigError("beta_recons and beta_mi must be set together")
         if self.reconstruction_source not in ("auto", "overlap", "local"):
-            raise ValueError(f"unknown reconstruction_source {self.reconstruction_source!r}")
+            raise ConfigError(f"unknown reconstruction_source {self.reconstruction_source!r}")
         if self.mine_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown mine_activation {self.mine_activation!r}")
+            raise ConfigError(f"unknown mine_activation {self.mine_activation!r}")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+            raise ConfigError("batch_size must be >= 2")
         if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+            raise ConfigError("temperature must be > 0")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.finetune_epochs < 0:
-            raise ValueError("finetune_epochs must be >= 0")
+            raise ConfigError("finetune_epochs must be >= 0")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+            raise ConfigError("learning_rate must be > 0")
         if self.finetune_lr <= 0:
-            raise ValueError("finetune_lr must be > 0")
+            raise ConfigError("finetune_lr must be > 0")
         if self.latent_dim is not None and self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+            raise ConfigError("latent_dim must be >= 1")
         if self.hidden_width is not None and self.hidden_width < 1:
-            raise ValueError("hidden_width must be >= 1")
+            raise ConfigError("hidden_width must be >= 1")
         if any(w < 1 for w in self.mine_hidden):
-            raise ValueError("mine_hidden widths must be >= 1")
+            raise ConfigError("mine_hidden widths must be >= 1")
 
     def loss_weights(self) -> tuple[float, float]:
         if self.beta_recons is not None:
@@ -90,7 +90,6 @@ class LktModel:
     dec: DenseNet
     phi: Array  # (|X_fed| x d)
     mine: DenseNet
-    latent_dim: int
     temperature: float
     weights: tuple[float, float]  # (recons weight, mi weight)
     provenance: str
@@ -103,14 +102,17 @@ class LktModel:
     keys: Array | None = None
 
     def __post_init__(self):
-        if self.enc.output_dim != self.latent_dim or self.phi.shape[1] != self.latent_dim:
-            raise ValueError("encoder output width and phi column count must equal the latent width")
+        if self.phi.shape[1] != self.latent_dim:
+            raise ValueError("phi column count must equal the encoder output width")
+
+    @property
+    def latent_dim(self) -> int:
+        return self.enc.output_dim
 
     def copy(self) -> "LktModel":
         return LktModel(
             enc=self.enc.copy(), dec=self.dec.copy(), phi=self.phi.copy(),
-            mine=self.mine.copy(), latent_dim=self.latent_dim,
-            temperature=self.temperature, weights=self.weights,
+            mine=self.mine.copy(), temperature=self.temperature, weights=self.weights,
             provenance=self.provenance, nl_columns=self.nl_columns,
             recon_columns=self.recon_columns,
             phi_adam=None if self.phi_adam is None else self.phi_adam.copy(),
@@ -238,14 +240,21 @@ def _critic_grads(net: DenseNet, pairs: Array, ws: dict | None = None):
     return grads
 
 
-def train_mine(p: Array, q: Array, steps: int, seed, hidden=(64, 64),
-               activation: str = "relu", lr: float = 1e-3) -> DenseNet:
-    """Fit a critic by gradient ascent on the lower bound (full-batch Adam)."""
+def _critic(n_in: int, config: LktConfig, rng) -> DenseNet:
+    """An MI critic over ``n_in`` inputs, with ``config``'s hidden widths and activation."""
+    acts = [config.mine_activation] * len(config.mine_hidden) + ["linear"]
+    return DenseNet.create([n_in, *config.mine_hidden, 1], acts, rng)
+
+
+def train_mine(p: Array, q: Array, steps: int, seed) -> DenseNet:
+    """Fit a critic by gradient ascent on the lower bound (full-batch Adam),
+    with the default ``LktConfig``'s critic widths, activation and
+    learning rate."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     rng = np.random.default_rng(seed)
-    net = DenseNet.create([p.shape[1] + q.shape[1], *hidden, 1],
-                          [activation] * len(hidden) + ["linear"], rng)
+    config = LktConfig()
+    net = _critic(p.shape[1] + q.shape[1], config, rng)
     n = p.shape[0]
     # Scratch buffers reused by every step's pass: the full-batch
     # activations would otherwise be allocated, freed and paged in afresh
@@ -253,7 +262,8 @@ def train_mine(p: Array, q: Array, steps: int, seed, hidden=(64, 64),
     ws: dict = {}
     for _ in range(steps):
         shift = int(rng.integers(1, n))
-        net.adam_step(_critic_grads(net, _stack_pairs(p, q, shift), ws), lr, ascend=True)
+        net.adam_step(_critic_grads(net, _stack_pairs(p, q, shift), ws), config.learning_rate,
+                      ascend=True)
     return net
 
 
@@ -268,13 +278,12 @@ def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed,
     h = config.hidden_width if config.hidden_width is not None else max(d, n_nl)
     enc = DenseNet.create([n_nl, h, h, d], ["sigmoid", "sigmoid", "linear"], rng)
     dec = DenseNet.create([d, h, h, n_rec], ["sigmoid", "sigmoid", "linear"], rng)
-    mine = DenseNet.create([2 * d, *config.mine_hidden, 1],
-                           [config.mine_activation] * len(config.mine_hidden) + ["linear"], rng)
+    mine = _critic(2 * d, config, rng)
     phi = rng.standard_normal((n_fed, d)) / np.sqrt(n_fed)
-    return LktModel(enc=enc, dec=dec, phi=phi, mine=mine, latent_dim=d,
-                    temperature=config.temperature, weights=config.loss_weights(),
-                    provenance=provenance, nl_columns=tuple(nl_columns),
-                    recon_columns=tuple(recon_columns), phi_adam=AdamState.like(phi))
+    return LktModel(enc=enc, dec=dec, phi=phi, mine=mine, temperature=config.temperature,
+                    weights=config.loss_weights(), provenance=provenance,
+                    nl_columns=tuple(nl_columns), recon_columns=tuple(recon_columns),
+                    phi_adam=AdamState.like(phi))
 
 
 def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shift: int,
@@ -584,8 +593,7 @@ def load_models(path):
                 or keys.shape[1:] != (md["latent_dim"],)):
             raise ValueError("checkpoint schema mismatch: latent width")
         models.append(LktModel(
-            enc=enc, dec=dec, phi=phi, mine=mine,
-            latent_dim=int(md["latent_dim"]), temperature=float(md["temperature"]),
+            enc=enc, dec=dec, phi=phi, mine=mine, temperature=float(md["temperature"]),
             weights=tuple(md["weights"]), provenance=md["provenance"],
             nl_columns=tuple(md["nl_columns"]), recon_columns=tuple(md["recon_columns"]),
             keys=keys,

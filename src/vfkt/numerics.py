@@ -207,6 +207,10 @@ def _buf(ws: dict | None, key, shape) -> Array | None:
     return b
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second-moment buffers for one parameter tensor, updated in place."""
@@ -222,10 +226,9 @@ class AdamState:
     def copy(self) -> "AdamState":
         return AdamState(self.m.copy(), self.v.copy(), self.t)
 
-    def update(self, p: Array, grad: Array, lr: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> Array:
+    def update(self, p: Array, grad: Array, lr: float) -> Array:
         """Advance the moments by one step; returns the updated parameters."""
-        b1, b2 = betas
+        b1, b2 = ADAM_BETAS
         self.t += 1
         self.m *= b1
         self.m += (1 - b1) * grad
@@ -233,7 +236,7 @@ class AdamState:
         self.v += (1 - b2) * grad * grad
         step = self.m / (1 - b1 ** self.t)
         step *= lr
-        step /= np.sqrt(self.v / (1 - b2 ** self.t)) + eps
+        step /= np.sqrt(self.v / (1 - b2 ** self.t)) + ADAM_EPS
         return p - step
 
 
@@ -348,9 +351,7 @@ class DenseNet:
                 g = np.matmul(gz, layer.w.T, out=_buf(ws, ("g", i), a_in.shape))
         return (grads if params else None), (g if inputs else None)
 
-    def adam_step(self, grads, lr: float,
-                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                  ascend: bool = False) -> None:
+    def adam_step(self, grads, lr: float, ascend: bool = False) -> None:
         if len(grads) != len(self.layers):
             raise ValueError("gradient shape mismatch")
         for layer, (dw, db) in zip(self.layers, grads):
@@ -365,7 +366,7 @@ class DenseNet:
             flat = -flat
         if self._adam is None:
             self._adam = AdamState.like(self._params)
-        self._params[:] = self._adam.update(self._params, flat, lr, betas, eps)
+        self._params[:] = self._adam.update(self._params, flat, lr)
 
     def copy(self) -> "DenseNet":
         net = DenseNet([DenseLayer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabelVector, PartyState
+from .data import ConfigError, FeatureMatrix, LabelVector, PartyState
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,13 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if not 1 <= self.overlap_count < self.n_task_samples:
-            raise ValueError("overlap_count must lie in [1, n_task_samples)")
+            raise ConfigError("overlap_count must lie in [1, n_task_samples)")
         if not 1 <= self.label_coords <= self.latent_dim:
-            raise ValueError("label_coords must lie in [1, latent_dim]")
+            raise ConfigError("label_coords must lie in [1, latent_dim]")
+        if not self.data_features:
+            raise ConfigError("data_features must name at least one data party")
         if self.task_features < 1 or any(f < 1 for f in self.data_features):
-            raise ValueError("feature counts must be positive")
+            raise ConfigError("feature counts must be positive")
         object.__setattr__(self, "data_features", tuple(self.data_features))
 
 

@@ -256,9 +256,9 @@ class TestSplitPartitions:
             seen.update(h_t_ol=h_t_ol, h_t_nl=h_t_nl)
             return train(h_t_ol, h_t_nl, *args, **kwargs)
 
-        def stratified_split(labels, spec):
+        def stratified_split(labels, params, seed):
             seen["labels"] = labels
-            return split(labels, spec)
+            return split(labels, params, seed)
 
         monkeypatch.setattr(lkt, "lkt_train", lkt_train)
         monkeypatch.setattr(experiment, "stratified_split", stratified_split)

@@ -84,11 +84,11 @@ class TestSyntheticSpec:
         assert from_dict(SyntheticSpec, json.loads(json.dumps(asdict(spec)))) == spec
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="overlap_count"):
+        with pytest.raises(ConfigError, match="overlap_count"):
             SyntheticSpec(n_task_samples=10, overlap_count=10)
-        with pytest.raises(ValueError, match="label_coords"):
+        with pytest.raises(ConfigError, match="label_coords"):
             SyntheticSpec(latent_dim=3, label_coords=4)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ConfigError, match="positive"):
             SyntheticSpec(data_features=(0,))
 
 
@@ -215,9 +215,9 @@ class TestExperimentConfig:
     ])
     def test_invalid_lkt_and_downstream(self, section, bad, match):
         cls = {"lkt": LktConfig, "downstream": DownstreamParams}[section]
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ConfigError, match=match):
             cls(**bad)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict({**_tiny_config().to_dict(), section: bad})
 
     def test_invalid_downstream(self):
@@ -241,6 +241,30 @@ class TestExperimentConfig:
             FrlParams(method="vfedpca", **bad)
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict({**_tiny_config().to_dict(), "frl": bad})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"synthetic": {"overlap_count": 0}},
+         "synthetic: overlap_count must lie in [1, n_task_samples)"),
+        ({"synthetic": {"data_features": []}},
+         "synthetic: data_features must name at least one data party"),
+        ({"csv": {"task_path": "t.csv", "data_paths": []}},
+         "csv: data_paths must name at least one data party"),
+        ({"synthetic": {}, "frl": {"iter_num": 0}}, "frl: iter_num must be >= 1"),
+        ({"synthetic": {}, "lkt": {"epochs": 0}}, "lkt: epochs must be >= 1"),
+        ({"synthetic": {}, "downstream": {"epochs": 0}}, "downstream: epochs must be >= 1"),
+    ])
+    def test_section_error_names_its_section(self, doc, message):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(doc)
+        assert str(exc.value) == message
+
+    def test_no_data_party_rejected(self):
+        with pytest.raises(ConfigError, match="at least one data party"):
+            SyntheticSpec(data_features=())
+        with pytest.raises(ConfigError, match="at least one data party"):
+            CsvSource(task_path="t.csv", data_paths=())
+        with pytest.raises(ConfigError, match="at least one data party"):
+            sweep(_tiny_config(), "num_data_hospitals", [0])
 
     # sha256 of the config.json bytes and config_hash, pinned so that a
     # change of serialization cannot silently re-key reports and checkpoints

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from vfkt.bus import ChannelEmpty, MessageBus
-from vfkt.data import OverlapIndex
-from vfkt.experiment import ConfigError, FrlParams
+from vfkt.data import ConfigError, OverlapIndex
 from vfkt.frl import (
     MASK_BLOCK,
     EigenShare,
+    FrlParams,
     ProtocolError,
     fedsvd_keygen,
     fedsvd_mask,
@@ -250,7 +250,7 @@ class TestFedSvdProtocol:
         u_ref, s_ref, _ = np.linalg.svd(raw, full_matrices=False)
         np.testing.assert_allclose(s_masked, s_ref, rtol=0, atol=1e-10 * s_ref[0])
         rep = run_fedsvd(MessageBus(), "p0", parties, _overlap(n), seed=9,
-                         block_size=block_size)
+                         params=FrlParams(block_size=block_size))
         assert rep.matrix.shape == (n, 11)
         np.testing.assert_allclose(_align_columns(rep.matrix, u_ref), u_ref, atol=1e-8)
 
@@ -283,7 +283,8 @@ class TestFedSvdProtocol:
 
     def test_rank_truncation(self):
         parties = _parties(n=12, sizes=(3, 3), seed=1)
-        rep = run_fedsvd(MessageBus(), "p0", parties, _overlap(12), seed=2, rank=4)
+        rep = run_fedsvd(MessageBus(), "p0", parties, _overlap(12), seed=2,
+                         params=FrlParams(rank=4))
         assert rep.matrix.shape == (12, 4)
 
     def test_server_never_sees_raw_blocks(self):
@@ -390,7 +391,8 @@ class TestVFedPcaProtocol:
         h = rng.normal(size=(25, 6))
         parties = {"p0": h}
         bus = MessageBus()
-        rep = run_vfedpca(bus, "p0", parties, _overlap(25), seed=0, iter_num=300)
+        rep = run_vfedpca(bus, "p0", parties, _overlap(25), seed=0,
+                          params=FrlParams(iter_num=300))
         w, v = np.linalg.eigh(sample_gram(h))
         agg = [r for r in bus.trace if r["kind"] == "aggregate_vector"]
         assert agg, "server must broadcast the aggregate direction"
@@ -404,7 +406,7 @@ class TestVFedPcaProtocol:
         parties = _parties(n=10, sizes=(3, 3), seed=6)
         bus = MessageBus()
         run_vfedpca(bus, "p0", parties, _overlap(10), seed=1,
-                    iter_num=25, period_num=10, warm_start=True)
+                    params=FrlParams(iter_num=25, period_num=10, warm_start=True))
         # 25 iterations at period 10 -> rounds of 10, 10, 5 -> 3 uploads/party
         shares = bus.messages_of_kind("eigen_share")
         assert len(shares) == 6
@@ -413,7 +415,7 @@ class TestVFedPcaProtocol:
         parties = _parties(n=10, sizes=(3, 3), seed=6)
         bus = MessageBus()
         run_vfedpca(bus, "p0", parties, _overlap(10), seed=1,
-                    iter_num=25, warm_start=False)
+                    params=FrlParams(iter_num=25, warm_start=False))
         assert len(bus.messages_of_kind("eigen_share")) == 2
 
     def test_unsettled_local_runs_are_counted(self):
@@ -422,7 +424,7 @@ class TestVFedPcaProtocol:
         h[0, 0], h[1, 1] = 1.0, 0.999
         parties = {"p0": h, "p1": h.copy()}
         rep = run_vfedpca(MessageBus(), "p0", parties, _overlap(10), seed=2,
-                          iter_num=3, period_num=10)
+                          params=FrlParams(iter_num=3, period_num=10))
         assert rep.flagged > 0
 
     def test_converged_run_counts_nothing(self):
@@ -430,7 +432,7 @@ class TestVFedPcaProtocol:
         parties["p1"][:, 0] *= 5.0
         parties["p0"][:, 0] = parties["p1"][:, 0]
         rep = run_vfedpca(MessageBus(), "p0", parties, _overlap(25), seed=0,
-                          iter_num=300, period_num=100)
+                          params=FrlParams(iter_num=300, period_num=100))
         assert rep.flagged == 0
         fed = run_fedsvd(MessageBus(), "p0", parties, _overlap(25), seed=0)
         assert fed.flagged == 0

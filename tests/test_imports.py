@@ -1,4 +1,5 @@
-"""Every name a ``vfkt`` module imports is used in that module."""
+"""Every name a ``vfkt`` module imports is used in that module, and each
+module imports only the modules below it in ``LAYERS``."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,10 @@ import vfkt
 
 MODULES = sorted(p for p in Path(vfkt.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+
+# Lowest first: a module may import only the modules before it.
+LAYERS = ("numerics", "data", "bus", "synthetic", "frl", "lkt", "downstream",
+          "experiment", "cli")
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -45,3 +50,35 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def upward_imports(name: str, source: str) -> list[str]:
+    """``name -> module`` for each package module that ``name`` imports and
+    that is not below it in ``LAYERS``; imports under ``TYPE_CHECKING`` count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vfkt."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("vfkt."))
+    rank = LAYERS.index(name)
+    return sorted(f"{name} -> {m}" for m in found if LAYERS.index(m) >= rank)
+
+
+def test_detects_an_upward_import():
+    src = ("from typing import TYPE_CHECKING\nfrom . import lkt as m\n"
+           "from .data import x\nif TYPE_CHECKING:\n    from .experiment import P\n")
+    assert upward_imports("frl", src) == ["frl -> experiment", "frl -> lkt"]
+    assert upward_imports("experiment", src) == ["experiment -> experiment"]
+    assert upward_imports("cli", "import vfkt.cli\nfrom vfkt.data import a\n") == ["cli -> cli"]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+
+
+def test_imports_follow_the_layer_order():
+    assert [edge for p in MODULES
+            for edge in upward_imports(p.stem, p.read_text(encoding="utf-8"))] == []
