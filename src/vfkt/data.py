@@ -247,9 +247,9 @@ def psi_intersect(task_ids, data_ids) -> OverlapIndex:
     """Simulated private set intersection over hashed IDs.
 
     Both lists must be non-empty and duplicate-free. The result is sorted
-    lexicographically by the raw ID. An empty intersection is valid here;
-    the pipeline rejects it later because transfer needs at least one
-    overlapping sample.
+    lexicographically by the raw ID. An intersection of any size, empty
+    included, is valid here; the pipeline rejects one of fewer than 2 rows
+    later, because transfer standardizes the overlap's columns.
     """
     task_ids = list(task_ids)
     data_ids = list(data_ids)

@@ -179,10 +179,10 @@ def _train_pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, task: PartySta
     flagged = 0
     for k, party in enumerate(parties, start=first):
         overlap = psi_intersect(task.features.ids, party.features.ids)
-        if overlap.size == 0:
+        if overlap.size < 2:
             raise DataError(
-                f"no overlapping samples with {party.party_id}; "
-                "transfer requires a non-empty intersection")
+                f"{party.party_id} shares {overlap.size} sample(s) with the task party; "
+                "transfer needs at least 2 overlapping samples")
         h_t_ol = task.features.select_rows(overlap.task_rows)
         if cfg.ol_columns:
             h_t_ol = h_t_ol.select_columns(list(cfg.ol_columns))

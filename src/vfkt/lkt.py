@@ -151,29 +151,38 @@ def _attention_forward(query: Array, h_fed: Array, phi: Array, ws: dict | None =
 def _attend(query: Array, keys: Array, ws: dict | None = None):
     """Softmax readout of ``keys`` (m x d), which double as values.
 
-    The n x m scores are the one n x m array made here; the softmax runs on
-    them in place. With ``ws`` (see ``DenseNet.forward``) they are written
-    into the buffer ``ws["attn"]``, so the attention weights in the returned
-    cache are overwritten by the next call with the same ``ws``.
+    The rows of ``E = exp(S - rowmax(S))``, ``S = (query / sqrt(d)) @ keys.T``,
+    are left unnormalized: each row's ``1 / sum(E)`` scales the n x d readout
+    instead, so the n x m array takes no scale or divide pass. It is the one
+    n x m array made here; with ``ws`` (see
+    ``DenseNet.forward``) it is the buffer ``ws["attn"]``, so the returned
+    cache is overwritten by the next call with the same ``ws``.
     """
-    scale = np.sqrt(keys.shape[1])
-    attn = np.matmul(query, keys.T, out=_buf(ws, "attn", (query.shape[0], keys.shape[0])))
-    attn /= scale
-    softmax_rows(attn, out=attn)
-    z = attn @ keys
-    return z, (query, keys, attn, scale)
+    q = query / np.sqrt(keys.shape[1])
+    e = np.matmul(q, keys.T, out=_buf(ws, "attn", (q.shape[0], keys.shape[0])))
+    e -= np.max(e, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    inv = 1.0 / np.sum(e, axis=1, keepdims=True)
+    z = e @ keys
+    z *= inv
+    return z, (q, keys, e, inv, z)
 
 
 def _attention_backward(cache, dz: Array, h_fed: Array, ws: dict | None = None):
-    query, keys, attn, scale = cache
-    d_attn = np.matmul(dz, keys.T, out=_buf(ws, "d_attn", attn.shape))
-    d_keys = attn.T @ dz
-    s = np.sum(np.multiply(d_attn, attn, out=_buf(ws, "d_attn_attn", attn.shape)),
-               axis=1, keepdims=True)
-    d_attn -= s
-    d_scores = np.multiply(d_attn, attn, out=d_attn)  # attn * (d_attn - s)
-    d_query = d_scores @ keys / scale
-    d_keys += d_scores.T @ query / scale
+    """Gradients of the readout with respect to the query and ``phi``.
+
+    With ``P = E * inv``, the softmax term ``sum_j dP_ij P_ij`` equals
+    ``dz_i . z_i``, so it is taken on the n x d side; the score gradient
+    ``P * (dz @ keys.T - s)`` is formed as ``E * ((dz * inv) @ keys.T - s * inv)``.
+    """
+    q, keys, e, inv, z = cache
+    s_inv = np.sum(dz * z, axis=1, keepdims=True) * inv
+    dz_inv = dz * inv
+    d_scores = np.matmul(dz_inv, keys.T, out=_buf(ws, "d_attn", e.shape))
+    d_scores -= s_inv
+    d_scores *= e
+    d_query = d_scores @ keys / np.sqrt(keys.shape[1])
+    d_keys = e.T @ dz_inv + d_scores.T @ q
     d_phi = h_fed.T @ d_keys
     return d_query, d_phi
 
@@ -456,7 +465,7 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
         models[0].history = {**models[0].history, "contrastive": history}
         return models
     x = h_t_nl.values
-    targets = [_attend(m.enc.forward(x)[0], _keys(m))[0] for m in models]
+    targets = [_readout(m, x, config.batch_size) for m in models]
 
     rng = np.random.default_rng(seed)
     tau = models[0].temperature
@@ -484,6 +493,18 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
     for m in models:
         m.history = {**m.history, "contrastive": losses}
     return models
+
+
+def _readout(m: LktModel, x: Array, block: int) -> Array:
+    """``m``'s attention readout of its encoding of ``x``, ``block`` rows at a
+    time, so no len(x) x |overlap| array is made."""
+    e = m.enc.forward(x)[0]
+    keys = _keys(m)
+    out = np.empty_like(e)
+    ws: dict = {}
+    for start in range(0, e.shape[0], block):
+        out[start:start + block] = _attend(e[start:start + block], keys, ws)[0]
+    return out
 
 
 def _keys(m: LktModel) -> Array:

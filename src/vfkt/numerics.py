@@ -143,13 +143,10 @@ def power_iteration(apply: Callable[[Array], Array], iters: int,
     return PowerIterationResult(vector=x, value=value, value_history=tuple(history), flagged=flagged)
 
 
-def softmax_rows(m: Array, out: Array | None = None) -> Array:
-    """Numerically stable row-wise softmax (max-shifted), into ``out`` if given.
-
-    ``out`` may be ``m`` itself, for a softmax in place.
-    """
+def softmax_rows(m: Array) -> Array:
+    """Numerically stable row-wise softmax (max-shifted)."""
     m = np.asarray(m, dtype=float)
-    e = np.subtract(m, np.max(m, axis=-1, keepdims=True), out=out)
+    e = m - np.max(m, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e

@@ -375,6 +375,15 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="unknown condition"):
             run_condition(_tiny_config(), "magic")
 
+    def test_overlap_of_one_row_rejected(self):
+        # a one-row overlap has no column spread to standardize by
+        spec = replace(_tiny_config().synthetic, overlap_count=1)
+        cfg = _tiny_config(synthetic=spec, standardize_features=False)
+        ds = prepare_dataset(cfg)
+        party = ds.data_parties[0].party_id
+        with pytest.raises(DataError, match=f"^{party} shares 1 sample"):
+            run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+
     def test_unsettled_power_iterations_reach_the_result(self, tmp_path):
         # two local iterations cannot settle; FedSVD runs no power iteration
         cfg = _tiny_config(frl=FrlParams(method="vfedpca", iter_num=2),

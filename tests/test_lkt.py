@@ -10,6 +10,7 @@ from vfkt.data import FeatureMatrix, OverlapIndex, standardize
 from vfkt.frl import FederatedRepresentation
 from vfkt.lkt import (
     LktConfig,
+    _attention_backward,
     _attention_forward,
     _column_standardize,
     _critic_grads,
@@ -28,7 +29,7 @@ from vfkt.lkt import (
     save_models,
     train_mine,
 )
-from vfkt.numerics import DenseNet
+from vfkt.numerics import DenseNet, softmax_rows
 
 
 def _overlap(n):
@@ -55,8 +56,18 @@ def _feature_matrix(values, prefix="s"):
 
 
 def _attention_weights(query, h_fed, phi):
-    _, (_, _, attn, _) = _attention_forward(query, h_fed, phi)
-    return attn
+    _, (_, _, e, inv, _) = _attention_forward(query, h_fed, phi)
+    return e * inv
+
+
+def _textbook_attention(query, keys, dz):
+    """The readout ``softmax_rows(q @ K.T / sqrt(d)) @ K`` and its gradients
+    with respect to the query and the keys, each n x m step spelled out."""
+    scale = np.sqrt(keys.shape[1])
+    p = softmax_rows(query @ keys.T / scale)
+    d_p = dz @ keys.T
+    d_scores = p * (d_p - np.sum(d_p * p, axis=1, keepdims=True))
+    return p @ keys, d_scores @ keys / scale, p.T @ dz + d_scores.T @ query / scale
 
 
 class TestAttention:
@@ -91,9 +102,27 @@ class TestAttention:
         with pytest.raises(ValueError, match="dimension mismatch"):
             cross_attention(np.ones((2, 3)), np.ones((4, 5)), np.ones((5, 2)))
 
+    @pytest.mark.parametrize("score_max", [10.0, 1e3])
+    def test_matches_the_textbook_softmax(self, score_max):
+        # 100 queries over 1200 keys, d=5, the query scaled so the largest
+        # |score| is score_max; at 1e3 an unshifted exp would overflow
+        rng = np.random.default_rng(5)
+        query = rng.normal(size=(100, 5))
+        h_fed = rng.normal(size=(1200, 3))
+        phi = rng.normal(size=(3, 5))
+        dz = rng.normal(size=(100, 5))
+        keys = h_fed @ phi
+        query *= score_max / (np.max(np.abs(query @ keys.T)) / np.sqrt(5))
+        z, cache = _attention_forward(query, h_fed, phi)
+        d_query, d_phi = _attention_backward(cache, dz, h_fed)
+        z_ref, d_query_ref, d_keys_ref = _textbook_attention(query, keys, dz)
+        for got, want in ((z, z_ref), (d_query, d_query_ref), (d_phi, h_fed.T @ d_keys_ref)):
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_softmax_runs_in_the_score_matrix(self):
-        # one n x m score matrix is the only array of that size made; the
-        # softmax overwrites it in place
+        # one n x m array is the only array of that size made; the exp
+        # overwrites the scores in place
         rng = np.random.default_rng(4)
         query = rng.normal(size=(2000, 5))
         h_fed = rng.normal(size=(1200, 3))
@@ -364,6 +393,27 @@ class TestFinetune:
         models[1].keys = None
         with pytest.raises(ValueError, match="'pair-1' has no attention keys"):
             lkt_finetune_contrastive(models, x, cfg, seed=0)
+
+    def test_targets_are_read_in_batch_blocks(self):
+        # 2000 rows over 1200 keys: each frozen target is read one batch of
+        # rows at a time, so no 2000 x 1200 attention array is made
+        rng = np.random.default_rng(6)
+        x = _feature_matrix(rng.normal(size=(2000, 4)))
+        cfg = LktConfig(latent_dim=3, hidden_width=4, mine_hidden=(4, 4), finetune_epochs=1)
+        models = []
+        for k in range(2):
+            m = build_model(n_nl=4, n_rec=4, n_fed=3, config=cfg, seed=k,
+                            provenance=f"pair-{k}", nl_columns=x.columns,
+                            recon_columns=x.columns)
+            m.keys = rng.normal(size=(1200, 3))
+            models.append(m)
+        tracemalloc.start()
+        try:
+            lkt_finetune_contrastive(models, x, cfg, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 1200 * 8 / 4
 
     def test_redundancy_edge_cases(self):
         models, x, _, _ = self._trained_pair()

@@ -227,13 +227,6 @@ class TestStableReductions:
         np.testing.assert_allclose(softmax_rows(x), softmax_rows(x + 1000.0),
                                    atol=1e-12)
 
-    def test_softmax_in_place_is_bit_identical(self):
-        m = np.random.default_rng(1).standard_normal((5, 9)) * 20
-        expected = softmax_rows(m)
-        out = softmax_rows(m, out=m)
-        assert out is m
-        assert m.tobytes() == expected.tobytes()
-
     def test_logmeanexp_constant_input(self):
         assert abs(logmeanexp(np.full(10, 3.5)) - 3.5) < 1e-12
 
