@@ -57,9 +57,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.synthetic is None) == (self.csv is None):
             raise ConfigError("exactly one of synthetic/csv sources must be set")
+        if not self.conditions:
+            raise ConfigError("conditions must name at least one condition")
         for c in self.conditions:
             if c not in CONDITIONS:
                 raise ConfigError(f"unknown condition {c!r}; valid: {CONDITIONS}")
+        if len(set(self.conditions)) != len(self.conditions):
+            raise ConfigError(f"conditions must not repeat: {list(self.conditions)}")
         # an empty column split means no split, and serializes as null
         for name in ("ol_columns", "nl_columns"):
             object.__setattr__(self, name, tuple(getattr(self, name) or ()) or None)
@@ -136,6 +140,12 @@ def _field_value(tp, value, path: str):
 class Dataset:
     task: PartyState
     data_parties: list[PartyState]
+    # (cfg.frl, cfg.ol_columns, cfg.nl_columns, LKT config, run seed) ->
+    # (models, flagged, bus) of the first pair training run with those
+    # inputs on these parties, for conditions that differ only after pair
+    # training to reuse (see ``_pair_models``); the parties are not part
+    # of the key, so they must not change once a run has used them.
+    pair_models: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def prepare_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -203,6 +213,23 @@ def _train_pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, task: PartySta
     return models, flagged
 
 
+def _pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, dataset: Dataset,
+                 h_t_nl: FeatureMatrix, run_seed: int):
+    """``_train_pair_models`` over all of ``dataset``'s data parties, run once
+    per set of inputs that decide its result: a later call with the same
+    inputs gets copies of the same models, the same flagged count and the
+    same bus, whose trace records the protocol runs those models came from.
+    Returns (models, flagged, bus)."""
+    key = (cfg.frl, cfg.ol_columns, cfg.nl_columns, lkt_cfg, run_seed)
+    if key not in dataset.pair_models:
+        bus = MessageBus()
+        models, flagged = _train_pair_models(cfg, lkt_cfg, dataset.task, dataset.data_parties,
+                                             h_t_nl, run_seed, bus)
+        dataset.pair_models[key] = (models, flagged, bus)
+    models, flagged, bus = dataset.pair_models[key]
+    return [m.copy() for m in models], flagged, bus
+
+
 def _non_overlap(cfg: ExperimentConfig, task: PartyState, parties: list[PartyState]):
     """The task party's non-overlap partition, shared by every pair: the rows
     no data party holds (the union of the overlaps removed), as (row indices,
@@ -219,22 +246,24 @@ def _non_overlap(cfg: ExperimentConfig, task: PartyState, parties: list[PartySta
 
 def run_pipeline_once(cfg: ExperimentConfig, condition: str, dataset: Dataset,
                       run_seed: int) -> PipelineResult:
-    """One seed of one condition: PSI -> FRL -> LKT -> augment -> train -> evaluate."""
-    bus = MessageBus()
+    """One seed of one condition: PSI -> FRL -> LKT -> augment -> train -> evaluate.
+
+    Pair training (PSI, FRL and LKT) is shared through ``dataset`` with every
+    condition of the same seed that trains its pairs alike (see
+    ``_pair_models``); ``ablation-no-cl`` after ``unitrans`` runs only its
+    augmentation and classifier."""
     nl_idx, h_t_nl = _non_overlap(cfg, dataset.task, dataset.data_parties)
     y_nl = dataset.task.labels.select_rows(nl_idx)
 
-    models: list = []
-    flagged = 0
     if condition == "local":
+        models, flagged, bus = [], 0, MessageBus()
         x = h_t_nl.values
     else:
         lkt_cfg = cfg.lkt
         if condition == "ablation-no-mi":
             lkt_cfg = replace(lkt_cfg, mi_weight=0.0,
                               beta_mi=0.0 if lkt_cfg.beta_mi is not None else None)
-        models, flagged = _train_pair_models(cfg, lkt_cfg, dataset.task, dataset.data_parties,
-                                             h_t_nl, run_seed, bus)
+        models, flagged, bus = _pair_models(cfg, lkt_cfg, dataset, h_t_nl, run_seed)
         if condition != "ablation-no-cl" and models:
             models = lkt_mod.lkt_finetune_contrastive(models, h_t_nl, lkt_cfg,
                                                       seed=run_seed * 1000 + 999)

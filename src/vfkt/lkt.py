@@ -15,7 +15,7 @@ finite differences in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .data import ConfigError, FeatureMatrix
 from .frl import FederatedRepresentation
 from .numerics import ACTIVATIONS, AdamState, Array, DenseNet, _buf, logmeanexp, softmax_rows
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class LktDivergenceError(RuntimeError):
@@ -86,23 +86,29 @@ class LktConfig:
 
 @dataclass
 class LktModel:
+    """One pair's model. ``enc``, ``keys``, ``temperature``, ``provenance``
+    and ``nl_columns`` are what augmentation and fine-tuning read, and all
+    that a checkpoint keeps. ``dec``, ``phi``, ``mine``, ``weights``,
+    ``recon_columns`` and ``phi_adam`` are training state: ``lkt_train``
+    uses them, and a loaded model has them as None."""
+
     enc: DenseNet
-    dec: DenseNet
-    phi: Array  # (|X_fed| x d)
-    mine: DenseNet
+    dec: DenseNet | None
+    phi: Array | None  # (|X_fed| x d)
+    mine: DenseNet | None
     temperature: float
-    weights: tuple[float, float]  # (recons weight, mi weight)
+    weights: tuple[float, float] | None  # (recons weight, mi weight)
     provenance: str
     nl_columns: tuple[str, ...]
-    recon_columns: tuple[str, ...]
-    phi_adam: AdamState | None = None  # set by build_model; a loaded model has none
+    recon_columns: tuple[str, ...] | None
+    phi_adam: AdamState | None = None
     history: dict = field(default_factory=dict)
     # Attention keys std(h_fed) @ phi (|overlap| x d), set when lkt_train
     # ends: all of the federated representation that fine-tuning reads.
     keys: Array | None = None
 
     def __post_init__(self):
-        if self.phi.shape[1] != self.latent_dim:
+        if self.phi is not None and self.phi.shape[1] != self.latent_dim:
             raise ValueError("phi column count must equal the encoder output width")
 
     @property
@@ -110,15 +116,12 @@ class LktModel:
         return self.enc.output_dim
 
     def copy(self) -> "LktModel":
-        return LktModel(
-            enc=self.enc.copy(), dec=self.dec.copy(), phi=self.phi.copy(),
-            mine=self.mine.copy(), temperature=self.temperature, weights=self.weights,
-            provenance=self.provenance, nl_columns=self.nl_columns,
-            recon_columns=self.recon_columns,
-            phi_adam=None if self.phi_adam is None else self.phi_adam.copy(),
-            history=dict(self.history),
-            keys=None if self.keys is None else self.keys.copy(),
-        )
+        """A copy that shares no mutable state with this model."""
+        def dup(x):
+            return None if x is None else x.copy()
+        return replace(self, enc=dup(self.enc), dec=dup(self.dec), phi=dup(self.phi),
+                       mine=dup(self.mine), phi_adam=dup(self.phi_adam), keys=dup(self.keys),
+                       history={k: list(v) for k, v in self.history.items()})
 
 
 @dataclass(frozen=True)
@@ -217,13 +220,15 @@ def mine_estimate(mine: DenseNet, p: Array, q: Array, rng) -> float:
 
 def _stack_pairs(p: Array, q: Array, shift: int) -> Array:
     """Critic inputs for one pass: the n joint rows ``[p, q]`` over the n
-    marginal rows ``[p, roll(q, shift)]``."""
+    marginal rows ``[p, roll(q, shift)]``, with ``0 < shift < n``."""
     n, dp = p.shape
     pairs = np.empty((2 * n, dp + q.shape[1]))
     pairs[:n, :dp] = p
     pairs[n:, :dp] = p
     pairs[:n, dp:] = q
-    pairs[n:, dp:] = np.roll(q, shift, axis=0)
+    # roll(q, shift): row i of the marginal half holds q[(i - shift) % n]
+    pairs[n:n + shift, dp:] = q[n - shift:]
+    pairs[n + shift:, dp:] = q[:n - shift]
     return pairs
 
 
@@ -330,7 +335,10 @@ def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shi
     # MI branch (critic fixed): d(loss)/dT = -b1 * d(bound)/dT
     _, d_c = model.mine.backward(cache_c, -b1 * _dv_upstream(t, n), params=False)
     d_p = d_c[:n, :d] + d_c[n:, :d]
-    d_z = d_c[:n, d:] + np.roll(d_c[n:, d:], -shift, axis=0)
+    # the marginal rows' q gradient, rolled back by -shift (see _stack_pairs)
+    d_z = d_c[:n, d:].copy()
+    d_z[:n - shift] += d_c[n + shift:, d:]
+    d_z[n - shift:] += d_c[n:n + shift, d:]
 
     d_query, d_phi = _attention_backward(attn_cache, d_z, h_fed, ws)
     enc_grads_nl, _ = model.enc.backward(cache_nl, d_p + d_query, inputs=False)
@@ -573,16 +581,10 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
         "models": [
             {
                 "enc": m.enc.to_dict(),
-                "dec": m.dec.to_dict(),
-                "mine": m.mine.to_dict(),
-                "phi": m.phi.tolist(),
                 "keys": _keys(m).tolist(),
-                "latent_dim": m.latent_dim,
                 "temperature": m.temperature,
-                "weights": list(m.weights),
                 "provenance": m.provenance,
                 "nl_columns": list(m.nl_columns),
-                "recon_columns": list(m.recon_columns),
             }
             for m in models
         ],
@@ -593,7 +595,10 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
 
 
 def load_models(path):
-    """Returns (models, config_hash); rejects mismatched schema widths."""
+    """Returns (models, config_hash); rejects mismatched schema widths.
+
+    A checkpoint keeps what augmentation and fine-tuning read (see
+    ``LktModel``); the loaded models have no training state."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -602,21 +607,14 @@ def load_models(path):
     models = []
     for md in doc["models"]:
         enc = DenseNet.from_dict(md["enc"])
-        dec = DenseNet.from_dict(md["dec"])
-        mine = DenseNet.from_dict(md["mine"])
-        phi = np.asarray(md["phi"], dtype=float)
         keys = np.asarray(md["keys"], dtype=float)
         if enc.input_dim != len(md["nl_columns"]):
             raise ValueError("checkpoint schema mismatch: encoder input width")
-        if dec.output_dim != len(md["recon_columns"]):
-            raise ValueError("checkpoint schema mismatch: decoder output width")
-        if (enc.output_dim != md["latent_dim"] or phi.shape[1] != md["latent_dim"]
-                or keys.shape[1:] != (md["latent_dim"],)):
+        if keys.ndim != 2 or keys.shape[1] != enc.output_dim:
             raise ValueError("checkpoint schema mismatch: latent width")
         models.append(LktModel(
-            enc=enc, dec=dec, phi=phi, mine=mine, temperature=float(md["temperature"]),
-            weights=tuple(md["weights"]), provenance=md["provenance"],
-            nl_columns=tuple(md["nl_columns"]), recon_columns=tuple(md["recon_columns"]),
-            keys=keys,
+            enc=enc, dec=None, phi=None, mine=None, temperature=float(md["temperature"]),
+            weights=None, provenance=md["provenance"], nl_columns=tuple(md["nl_columns"]),
+            recon_columns=None, keys=keys,
         ))
     return models, doc["config_hash"]

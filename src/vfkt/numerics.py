@@ -169,11 +169,16 @@ ACTIVATIONS = ("sigmoid", "relu", "tanh", "linear")
 def _act(name: str, z: Array) -> Array:
     """Activation of ``z``; relu overwrites ``z`` with its output."""
     if name == "sigmoid":
-        # exp of a non-positive argument never overflows; both branches
-        # give the textbook 1 / (1 + exp(-z)) on their own half-line
-        e = np.exp(-np.abs(z))
+        # exp of a non-positive argument never overflows; with
+        # e = exp(-|z|), 1 / (1 + e) for z >= 0 and e / (1 + e) below are
+        # the textbook 1 / (1 + exp(-z)) on their own half-line
+        e = np.abs(z)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
         d = 1.0 + e
-        return np.where(z >= 0, 1.0 / d, e / d)
+        np.copyto(e, 1.0, where=z >= 0)
+        e /= d
+        return e
     if name == "relu":
         return np.maximum(z, 0.0, out=z)
     if name == "tanh":
@@ -233,7 +238,10 @@ class AdamState:
         self.v += (1 - b2) * grad * grad
         step = self.m / (1 - b1 ** self.t)
         step *= lr
-        step /= np.sqrt(self.v / (1 - b2 ** self.t)) + ADAM_EPS
+        den = self.v / (1 - b2 ** self.t)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        step /= den
         return p - step
 
 

@@ -190,6 +190,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown condition"):
             _tiny_config(conditions=("local", "magic"))
 
+    def test_empty_conditions_rejected(self):
+        with pytest.raises(ConfigError, match="conditions must name at least one condition"):
+            _tiny_config(conditions=())
+        with pytest.raises(ConfigError, match="^conditions must name at least one"):
+            ExperimentConfig.from_dict({**_tiny_config().to_dict(), "conditions": []})
+
+    def test_duplicate_condition_rejected(self):
+        with pytest.raises(ConfigError, match=r"conditions must not repeat: \['local', 'unitrans', 'local'\]"):
+            _tiny_config(conditions=("local", "unitrans", "local"))
+
     @pytest.mark.parametrize("section, bad, match", [
         ("lkt", {"reconstruction_source": "foo"}, "reconstruction_source"),
         ("lkt", {"batch_size": 1}, "batch_size"),
@@ -396,6 +406,107 @@ class TestPipeline:
         # the count stays out of the reports
         run_experiment(cfg, out_dir=tmp_path)
         assert "flagged" not in (tmp_path / "report_unitrans.json").read_text()
+
+
+class TestPairTrainingMemo:
+    """Conditions of one seed that train their pairs alike share one
+    training run through the dataset."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        from vfkt import experiment
+
+        calls = {"lkt_train": 0, "run_frl": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lkt, "lkt_train", counted("lkt_train", lkt.lkt_train))
+        monkeypatch.setattr(experiment, "run_frl", counted("run_frl", experiment.run_frl))
+        return calls
+
+    @staticmethod
+    def _cfg():
+        spec = replace(_tiny_config().synthetic, data_features=(4, 3))
+        return _tiny_config(synthetic=spec, lkt=replace(_tiny_config().lkt, finetune_epochs=1))
+
+    @staticmethod
+    def _encoder_bytes(model):
+        return [(l.w.tobytes(), l.b.tobytes()) for l in model.enc.layers]
+
+    def test_no_cl_after_unitrans_trains_nothing(self, monkeypatch):
+        cfg = self._cfg()
+        ds = prepare_dataset(cfg)
+        calls = self._counting(monkeypatch)
+        run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+        assert calls == {"lkt_train": 2, "run_frl": 2}
+        run_pipeline_once(cfg, "ablation-no-cl", ds, run_seed=0)
+        assert calls == {"lkt_train": 2, "run_frl": 2}
+
+    def test_hit_is_bit_identical_to_a_fresh_run(self):
+        cfg = self._cfg()
+        ds = prepare_dataset(cfg)
+        run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+        hit = run_pipeline_once(cfg, "ablation-no-cl", ds, run_seed=0)
+        fresh = run_pipeline_once(cfg, "ablation-no-cl", prepare_dataset(cfg), run_seed=0)
+        assert hit.accuracy == fresh.accuracy
+        assert hit.flagged == fresh.flagged
+        assert hit.bus.trace == fresh.bus.trace
+        for a, b in zip(hit.models, fresh.models, strict=True):
+            assert self._encoder_bytes(a) == self._encoder_bytes(b)
+            for name in ("phi", "keys"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert a.history == b.history
+
+    def test_mutating_a_result_leaves_later_hits_alone(self):
+        cfg = self._cfg()
+        ds = prepare_dataset(cfg)
+        first = run_pipeline_once(cfg, "ablation-no-cl", ds, run_seed=0)
+        want = [(self._encoder_bytes(m), m.keys.tobytes()) for m in first.models]
+        for m in first.models:
+            m.enc.layers[0].w += 1.0
+            m.keys *= 2.0
+            m.phi[:] = 0.0
+            m.history["loss"].append(1.0)
+        second = run_pipeline_once(cfg, "ablation-no-cl", ds, run_seed=0)
+        assert [(self._encoder_bytes(m), m.keys.tobytes()) for m in second.models] == want
+        assert all(m.phi.any() for m in second.models)
+        assert all(len(m.history["loss"]) == cfg.lkt.epochs for m in second.models)
+
+    @pytest.mark.parametrize("condition, seed, edit", [
+        ("ablation-no-mi", 0, {}),
+        ("unitrans", 1, {}),
+        ("unitrans", 0, {"frl": FrlParams(block_size=7)}),
+        ("unitrans", 0, {"ol_columns": ("t0", "t1", "t2")}),
+        ("unitrans", 0, {"nl_columns": ("t0", "t1", "t2")}),
+    ], ids=["no-mi", "run-seed", "block-size", "ol-columns", "nl-columns"])
+    def test_other_inputs_miss(self, monkeypatch, condition, seed, edit):
+        cfg = self._cfg()
+        ds = prepare_dataset(cfg)
+        run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+        calls = self._counting(monkeypatch)
+        run_pipeline_once(replace(cfg, **edit), condition, ds, run_seed=seed)
+        assert calls == {"lkt_train": 2, "run_frl": 2}
+
+    def test_shared_training_writes_the_same_artifacts(self, tmp_path, monkeypatch):
+        from vfkt import experiment
+
+        cfg = replace(self._cfg(), conditions=("unitrans", "ablation-no-cl"))
+        run_experiment(cfg, out_dir=tmp_path / "shared")
+        # each condition on a dataset of its own: no training is shared
+        real_run_condition = experiment.run_condition
+        monkeypatch.setattr(experiment, "run_condition",
+                            lambda c, cond, ds: real_run_condition(c, cond, prepare_dataset(c)))
+        run_experiment(cfg, out_dir=tmp_path / "separate")
+        names = sorted(p.name for p in (tmp_path / "shared").iterdir())
+        assert names == ["config.json", "models.json", "report_ablation-no-cl.json",
+                         "report_unitrans.json", "trace.jsonl"]
+        for name in names:
+            assert ((tmp_path / "shared" / name).read_bytes()
+                    == (tmp_path / "separate" / name).read_bytes()), name
 
 
 def _new_party(ds):

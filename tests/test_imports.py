@@ -1,5 +1,6 @@
-"""Every name a ``vfkt`` module imports is used in that module, and each
-module imports only the modules below it in ``LAYERS``."""
+"""Every name a ``vfkt`` module imports is used in that module, each
+module imports only the modules below it in ``LAYERS``, and no module holds
+mutable state at module level (a cache lives on the object it serves)."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,68 @@ def test_every_module_has_a_layer():
 def test_imports_follow_the_layer_order():
     assert [edge for p in MODULES
             for edge in upward_imports(p.stem, p.read_text(encoding="utf-8"))] == []
+
+
+# Module-level mutable state: a display or comprehension of a dict, list or
+# set, a call of one of these constructors, or a cache decorator.
+MUTABLE_CALLS = ("dict", "list", "set", "defaultdict")
+CACHES = ("lru_cache", "cache")
+
+
+def _called_name(node) -> str | None:
+    """``f`` for ``f``, ``m.f`` and calls of either (``lru_cache(maxsize=2)``)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_state(source: str) -> list[str]:
+    """Names that a module binds, at module or class level, to mutable
+    state; ``__all__`` is exempt. Function bodies are not searched."""
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+
+    def visit(stmts, scope):
+        for node in stmts:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if any(_called_name(d) in CACHES for d in node.decorator_list):
+                    found.append(scope + node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{scope}{node.name}.")
+                continue
+            value = getattr(node, "value", None)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and (
+                    isinstance(value, mutable)
+                    or isinstance(value, ast.Call) and _called_name(value) in MUTABLE_CALLS):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.extend(scope + ast.unparse(t) for t in targets
+                             if ast.unparse(t) != "__all__")
+            # the bodies of module-level if, for, while, with and try blocks
+            for name in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, name, []), scope)
+
+    visit(ast.parse(source).body, "")
+    return sorted(found)
+
+
+def test_detects_module_state():
+    src = ("import functools\nfrom collections import defaultdict\n"
+           "__all__ = ['a']\nA = (1, 2)\nB = {}\nC: list = [x for x in A]\n"
+           "D = dict(a=1)\nE = defaultdict(list)\nF = frozenset({1})\n"
+           "if A:\n    G = set()\nelse:\n    H = {1}\n"
+           "try:\n    pass\nexcept ImportError:\n    I = []\n"
+           "@functools.lru_cache(maxsize=2)\ndef j(): pass\n"
+           "@cache\ndef k(): pass\n"
+           "def f():\n    local = {}\n    return local\n"
+           "class K:\n    shared = {}\n    @functools.cache\n    def m(self): pass\n")
+    assert module_state(src) == ["B", "C", "D", "E", "G", "H", "I", "K.m", "K.shared",
+                                 "j", "k"]
+    assert module_state("from dataclasses import field\nX = field(default_factory=dict)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(vfkt.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_state(path):
+    assert module_state(path.read_text(encoding="utf-8")) == []

@@ -496,10 +496,95 @@ class TestCheckpoints:
         x = np.random.default_rng(7).normal(size=(6, 4))
         for m, l in zip(models, loaded):
             np.testing.assert_array_equal(m.enc.forward(x)[0], l.enc.forward(x)[0])
-            np.testing.assert_array_equal(m.phi, l.phi)
+            # training state is not kept
+            assert (l.dec, l.phi, l.mine, l.weights, l.recon_columns) == (None,) * 5
             np.testing.assert_array_equal(m.keys, l.keys)
             assert l.provenance == m.provenance
             assert l.nl_columns == m.nl_columns
+            assert l.temperature == m.temperature
+
+    def test_v3_keeps_the_encoder_and_keys_to_the_bit(self, tmp_path):
+        models = self._models()
+        models[0].enc.layers[0].w[0, :2] = [1 / 3, 5e-324]
+        path = tmp_path / "models.json"
+        save_models(path, models, config_hash="h")
+        loaded, _ = load_models(path)
+        for m, l in zip(models, loaded):
+            assert l.keys.tobytes() == m.keys.tobytes()
+            assert len(l.enc.layers) == len(m.enc.layers)
+            for a, b in zip(m.enc.layers, l.enc.layers):
+                assert (a.w.tobytes(), a.b.tobytes(), a.activation) == (
+                    b.w.tobytes(), b.b.tobytes(), b.activation)
+                assert (a.w.shape, a.b.shape) == (b.w.shape, b.b.shape)
+
+    def test_v3_holds_no_training_state(self, tmp_path):
+        import json
+
+        path = tmp_path / "models.json"
+        save_models(path, self._models(), config_hash="h")
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 3
+        for md in doc["models"]:
+            assert sorted(md) == ["enc", "keys", "nl_columns", "provenance", "temperature"]
+            assert not {"dec", "mine", "phi"} & set(md)
+
+    def test_rejects_version_2(self, tmp_path):
+        import json
+
+        path = tmp_path / "models.json"
+        save_models(path, self._models(), config_hash="h")
+        doc = json.loads(path.read_text())
+        doc["version"] = 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match="^unsupported checkpoint version 2; this build reads version 3$"):
+            load_models(path)
+
+    def test_loaded_models_augment_new_samples(self, tmp_path):
+        models = self._models()
+        path = tmp_path / "models.json"
+        save_models(path, models, config_hash="h")
+        loaded, _ = load_models(path)
+        fresh = FeatureMatrix(ids=("n0", "n1", "n2"), columns=("a", "b", "c", "d"),
+                              values=np.random.default_rng(8).normal(size=(3, 4)))
+        out = apply_to_new_samples(loaded, fresh)
+        np.testing.assert_array_equal(out.matrix.values,
+                                      apply_to_new_samples(models, fresh).matrix.values)
+
+    def test_loaded_models_take_a_new_hospital(self, tmp_path):
+        from vfkt.data import PartyState
+        from vfkt.experiment import (DownstreamParams, ExperimentConfig, add_data_hospital,
+                                     prepare_dataset, run_pipeline_once)
+        from vfkt.synthetic import SyntheticSpec
+
+        cfg = ExperimentConfig(
+            synthetic=SyntheticSpec(n_task_samples=60, overlap_count=20, task_features=4,
+                                    data_features=(4,), latent_dim=3, label_coords=2,
+                                    seed=0),
+            lkt=LktConfig(latent_dim=2, epochs=2, hidden_width=4, mine_hidden=(4, 4),
+                          batch_size=16, finetune_epochs=2),
+            downstream=DownstreamParams(model="logistic", n_seeds=1, epochs=5))
+        ds = prepare_dataset(cfg)
+        base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+        save_models(tmp_path / "models.json", base.models, cfg.config_hash)
+        loaded, _ = load_models(tmp_path / "models.json")
+        old = ds.data_parties[0].features
+        new_party = PartyState(party_id="data-new", role="data", features=FeatureMatrix(
+            ids=old.ids, columns=("n0", "n1", "n2"),
+            values=np.random.default_rng(9).normal(size=(old.n_rows, 3))))
+        got, bus = add_data_hospital(loaded, cfg, ds, new_party, run_seed=0)
+        assert [m.provenance for m in got] == ["data-0", "data-new"]
+        assert len(bus.messages_of_kind("frl_begin")) == 1
+        # the update reads nothing the checkpoint drops: the in-memory
+        # models, with their training state but without the fine-tune's
+        # Adam moments (which no checkpoint has carried), give the same models
+        for m in base.models:
+            m.enc = DenseNet.from_dict(m.enc.to_dict())
+        want, _ = add_data_hospital(base.models, cfg, ds, new_party, run_seed=0)
+        x = ds.task.features.values
+        for g, w in zip(got, want, strict=True):
+            assert g.enc.forward(x)[0].tobytes() == w.enc.forward(x)[0].tobytes()
+            assert g.keys.tobytes() == w.keys.tobytes()
 
     def test_rejects_schema_tampering(self, tmp_path):
         import json
@@ -543,7 +628,7 @@ class TestCheckpoints:
         for md in doc["models"]:
             del md["keys"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="checkpoint version 1; this build reads version 2"):
+        with pytest.raises(ValueError, match="checkpoint version 1; this build reads version 3"):
             load_models(path)
 
     def test_model_without_keys_is_not_saved(self, tmp_path):
