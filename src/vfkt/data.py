@@ -48,9 +48,9 @@ class FeatureMatrix:
             raise DataError("ids/columns do not match value dimensions")
         if len(self.ids) < 1 or len(self.columns) < 1:
             raise DataError("feature matrix must be at least 1x1")
-        if len(set(self.ids)) != len(self.ids):
-            dup = _first_duplicate(self.ids)
-            raise DataError(f"duplicate sample id {dup!r}")
+        for what, names in (("sample id", self.ids), ("column name", self.columns)):
+            if len(set(names)) != len(names):
+                raise DataError(f"duplicate {what} {_first_duplicate(names)!r}")
         if not np.all(np.isfinite(vals)):
             raise DataError("feature matrix contains NaN/Inf")
 

@@ -130,12 +130,12 @@ def train_classifier(x: Array, y: Array, kind: str, seed,
 
     onehot = np.zeros((labels.size, num_classes))
     onehot[np.arange(labels.size), labels] = 1.0
-    ws, d_logits = {}, np.empty_like(onehot)
+    ws, d_logits, adam = {}, np.empty_like(onehot), net.adam_state()
     for _ in range(epochs):
         logits, cache = net.forward(x, ws)
         grads, _ = net.backward(cache, _logit_grad(logits, onehot, d_logits), ws,
                                 inputs=False)
-        net.adam_step(grads, lr)
+        net.adam_step(adam, grads, lr)
     return Classifier(net=net, kind=kind, num_classes=num_classes)
 
 

@@ -337,10 +337,14 @@ def add_data_hospital(models: list, cfg: ExperimentConfig, dataset: Dataset,
     sample ids are read, and their pair models are otherwise untouched.
     Returns (models, bus).
     """
-    bus = MessageBus()
+    if new_party.role != "data":
+        raise DataError(f"{new_party.party_id!r} has role {new_party.role!r}, not 'data'")
     _, h_t_nl = _non_overlap(cfg, dataset.task, dataset.data_parties + [new_party])
     if any(m.nl_columns != h_t_nl.columns for m in models):
         raise DataError("checkpoint schema incompatible with this dataset")
+    if new_party.party_id in {m.provenance for m in models}:
+        raise DataError(f"{new_party.party_id!r} already has a pair model")
+    bus = MessageBus()
     new_models, _ = _train_pair_models(cfg, cfg.lkt, dataset.task, [new_party], h_t_nl,
                                        run_seed, bus, first=len(dataset.data_parties))
     all_models = lkt_mod.lkt_finetune_contrastive(models + new_models, h_t_nl, cfg.lkt,

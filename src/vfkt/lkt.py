@@ -59,22 +59,18 @@ class LktConfig:
             raise ConfigError(f"unknown reconstruction_source {self.reconstruction_source!r}")
         if self.mine_activation not in ACTIVATIONS:
             raise ConfigError(f"unknown mine_activation {self.mine_activation!r}")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be > 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.finetune_epochs < 0:
-            raise ConfigError("finetune_epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.finetune_lr <= 0:
-            raise ConfigError("finetune_lr must be > 0")
-        if self.latent_dim is not None and self.latent_dim < 1:
-            raise ConfigError("latent_dim must be >= 1")
-        if self.hidden_width is not None and self.hidden_width < 1:
-            raise ConfigError("hidden_width must be >= 1")
+        for name, low in (("batch_size", 2), ("epochs", 1), ("finetune_epochs", 0),
+                          ("latent_dim", 1), ("hidden_width", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}")
+        for name in ("temperature", "learning_rate", "finetune_lr"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("mi_weight", "beta_recons", "beta_mi"):
+            w = getattr(self, name)
+            if w is not None and not (np.isfinite(w) and w >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {w}")
         if any(w < 1 for w in self.mine_hidden):
             raise ConfigError("mine_hidden widths must be >= 1")
 
@@ -85,31 +81,31 @@ class LktConfig:
 
 
 @dataclass
-class LktModel:
-    """One pair's model. ``enc``, ``keys``, ``temperature``, ``provenance``
-    and ``nl_columns`` are what augmentation and fine-tuning read, and all
-    that a checkpoint keeps. ``dec``, ``phi``, ``mine``, ``weights``,
-    ``recon_columns`` and ``phi_adam`` are training state: ``lkt_train``
-    uses them, and a loaded model has them as None."""
+class TrainingPair:
+    """The networks ``lkt_train`` steps for one pair; only the encoder, and
+    the attention keys that ``phi`` gives, outlive training."""
 
     enc: DenseNet
-    dec: DenseNet | None
-    phi: Array | None  # (|X_fed| x d)
-    mine: DenseNet | None
+    dec: DenseNet
+    phi: Array  # (|X_fed| x d)
+    mine: DenseNet
+    weights: tuple[float, float]  # (recons weight, mi weight)
     temperature: float
-    weights: tuple[float, float] | None  # (recons weight, mi weight)
+
+
+@dataclass
+class LktModel:
+    """One trained pair: all that augmentation and fine-tuning read, and all
+    that a checkpoint keeps but the per-epoch ``history``. ``keys`` are the
+    attention keys std(h_fed) @ phi (|overlap| x d), all of the federated
+    representation that fine-tuning reads."""
+
+    enc: DenseNet
+    keys: Array
+    temperature: float
     provenance: str
     nl_columns: tuple[str, ...]
-    recon_columns: tuple[str, ...] | None
-    phi_adam: AdamState | None = None
     history: dict = field(default_factory=dict)
-    # Attention keys std(h_fed) @ phi (|overlap| x d), set when lkt_train
-    # ends: all of the federated representation that fine-tuning reads.
-    keys: Array | None = None
-
-    def __post_init__(self):
-        if self.phi is not None and self.phi.shape[1] != self.latent_dim:
-            raise ValueError("phi column count must equal the encoder output width")
 
     @property
     def latent_dim(self) -> int:
@@ -117,10 +113,7 @@ class LktModel:
 
     def copy(self) -> "LktModel":
         """A copy that shares no mutable state with this model."""
-        def dup(x):
-            return None if x is None else x.copy()
-        return replace(self, enc=dup(self.enc), dec=dup(self.dec), phi=dup(self.phi),
-                       mine=dup(self.mine), phi_adam=dup(self.phi_adam), keys=dup(self.keys),
+        return replace(self, enc=self.enc.copy(), keys=self.keys.copy(),
                        history={k: list(v) for k, v in self.history.items()})
 
 
@@ -274,10 +267,11 @@ def train_mine(p: Array, q: Array, steps: int, seed) -> DenseNet:
     # activations would otherwise be allocated, freed and paged in afresh
     # each step.
     ws: dict = {}
+    adam = net.adam_state()
     for _ in range(steps):
         shift = int(rng.integers(1, n))
-        net.adam_step(_critic_grads(net, _stack_pairs(p, q, shift), ws), config.learning_rate,
-                      ascend=True)
+        net.adam_step(adam, _critic_grads(net, _stack_pairs(p, q, shift), ws),
+                      config.learning_rate, ascend=True)
     return net
 
 
@@ -286,7 +280,12 @@ def train_mine(p: Array, q: Array, steps: int, seed) -> DenseNet:
 # ---------------------------------------------------------------------------
 
 def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed,
-                provenance: str, nl_columns, recon_columns) -> LktModel:
+                provenance: str, nl_columns, recon_columns) -> TrainingPair:
+    """Freshly drawn networks for pair ``provenance``, whose encoder reads
+    ``nl_columns`` and whose decoder rebuilds ``recon_columns``."""
+    if (len(nl_columns), len(recon_columns)) != (n_nl, n_rec):
+        raise ValueError(f"pair {provenance!r}: {len(nl_columns)} input and {len(recon_columns)} "
+                         f"reconstruction column names for widths {n_nl} and {n_rec}")
     rng = np.random.default_rng(seed)
     d = config.latent_dim if config.latent_dim is not None else n_nl
     h = config.hidden_width if config.hidden_width is not None else max(d, n_nl)
@@ -294,13 +293,11 @@ def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed,
     dec = DenseNet.create([d, h, h, n_rec], ["sigmoid", "sigmoid", "linear"], rng)
     mine = _critic(2 * d, config, rng)
     phi = rng.standard_normal((n_fed, d)) / np.sqrt(n_fed)
-    return LktModel(enc=enc, dec=dec, phi=phi, mine=mine, temperature=config.temperature,
-                    weights=config.loss_weights(), provenance=provenance,
-                    nl_columns=tuple(nl_columns), recon_columns=tuple(recon_columns),
-                    phi_adam=AdamState.like(phi))
+    return TrainingPair(enc=enc, dec=dec, phi=phi, mine=mine, weights=config.loss_weights(),
+                        temperature=config.temperature)
 
 
-def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shift: int,
+def loss_and_grads(pair: TrainingPair, x_nl: Array, x_rec: Array, h_fed: Array, shift: int,
                    ws: dict | None = None):
     """Full transfer loss and its gradients w.r.t. encoder, decoder, and phi.
 
@@ -311,29 +308,29 @@ def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shi
     buffers from one call to the next (see ``_attend``); the results are
     the same without it.
     """
-    b0, b1 = model.weights
-    d = model.latent_dim
+    b0, b1 = pair.weights
+    d = pair.enc.output_dim
     n = x_nl.shape[0]
 
-    e_nl, cache_nl = model.enc.forward(x_nl)
-    z, attn_cache = _attention_forward(e_nl, h_fed, model.phi, ws)
+    e_nl, cache_nl = pair.enc.forward(x_nl)
+    z, attn_cache = _attention_forward(e_nl, h_fed, pair.phi, ws)
 
-    e_rec, cache_rec = model.enc.forward(x_rec)
-    recon, cache_dec = model.dec.forward(e_rec)
+    e_rec, cache_rec = pair.enc.forward(x_rec)
+    recon, cache_dec = pair.dec.forward(e_rec)
     l_rec = float(np.mean((recon - x_rec) ** 2))
 
-    t, cache_c = model.mine.forward(_stack_pairs(e_nl, z, shift))
+    t, cache_c = pair.mine.forward(_stack_pairs(e_nl, z, shift))
     l_mi = _dv_bound(t, n)
 
     loss = b0 * l_rec - b1 * l_mi
 
     # reconstruction branch
     d_recon = b0 * 2.0 * (recon - x_rec) / recon.size
-    dec_grads, d_e_rec = model.dec.backward(cache_dec, d_recon)
-    enc_grads_rec, _ = model.enc.backward(cache_rec, d_e_rec, inputs=False)
+    dec_grads, d_e_rec = pair.dec.backward(cache_dec, d_recon)
+    enc_grads_rec, _ = pair.enc.backward(cache_rec, d_e_rec, inputs=False)
 
     # MI branch (critic fixed): d(loss)/dT = -b1 * d(bound)/dT
-    _, d_c = model.mine.backward(cache_c, -b1 * _dv_upstream(t, n), params=False)
+    _, d_c = pair.mine.backward(cache_c, -b1 * _dv_upstream(t, n), params=False)
     d_p = d_c[:n, :d] + d_c[n:, :d]
     # the marginal rows' q gradient, rolled back by -shift (see _stack_pairs)
     d_z = d_c[:n, d:].copy()
@@ -341,7 +338,7 @@ def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shi
     d_z[n - shift:] += d_c[n:n + shift, d:]
 
     d_query, d_phi = _attention_backward(attn_cache, d_z, h_fed, ws)
-    enc_grads_nl, _ = model.enc.backward(cache_nl, d_p + d_query, inputs=False)
+    enc_grads_nl, _ = pair.enc.backward(cache_nl, d_p + d_query, inputs=False)
 
     enc_grads = [(a + c, b + e) for (a, b), (c, e) in zip(enc_grads_rec, enc_grads_nl)]
     return loss, {"recons": l_rec, "mi": l_mi}, {
@@ -349,14 +346,14 @@ def loss_and_grads(model: LktModel, x_nl: Array, x_rec: Array, h_fed: Array, shi
     }
 
 
-def _mine_ascent(model: LktModel, x_nl: Array, h_fed: Array, shift: int, lr: float,
-                 ws: dict | None = None):
-    """Critic ascent step on the batch, after the model's update: the
+def _mine_ascent(pair: TrainingPair, adam: AdamState, x_nl: Array, h_fed: Array, shift: int,
+                 lr: float, ws: dict | None = None):
+    """Critic ascent step on the batch, after the pair's update: the
     encoder and attention forward passes are rerun with the new weights."""
-    e_nl, _ = model.enc.forward(x_nl)
-    z, _ = _attention_forward(e_nl, h_fed, model.phi, ws)
-    model.mine.adam_step(_critic_grads(model.mine, _stack_pairs(e_nl, z, shift)), lr,
-                         ascend=True)
+    e_nl, _ = pair.enc.forward(x_nl)
+    z, _ = _attention_forward(e_nl, h_fed, pair.phi, ws)
+    pair.mine.adam_step(adam, _critic_grads(pair.mine, _stack_pairs(e_nl, z, shift)), lr,
+                        ascend=True)
 
 
 def _batches(n: int, batch_size: int, rng):
@@ -375,22 +372,23 @@ def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
         source = "overlap" if h_t_ol.n_cols == h_t_nl.n_cols else "local"
     if source == "overlap" and h_t_ol.n_cols != h_t_nl.n_cols:
         raise ValueError("overlap reconstruction needs matching column schemas")
-    x_rec_full = h_t_ol.values if source == "overlap" else h_t_nl.values
-    recon_columns = h_t_ol.columns if source == "overlap" else h_t_nl.columns
+    rec = h_t_ol if source == "overlap" else h_t_nl  # the rows the decoder rebuilds
 
     x_nl = h_t_nl.values
     # Factorization outputs have orthonormal columns (entries ~ 1/sqrt(n)),
     # which would flatten the attention softmax; rescale to unit variance.
     fed = _column_standardize(h_fed.matrix)
-    model = build_model(h_t_nl.n_cols, x_rec_full.shape[1], fed.shape[1], config, seed,
-                        provenance, h_t_nl.columns, recon_columns)
+    pair = build_model(h_t_nl.n_cols, rec.n_cols, fed.shape[1], config, seed,
+                       provenance, h_t_nl.columns, rec.columns)
+    enc_adam, dec_adam, mine_adam = (net.adam_state() for net in (pair.enc, pair.dec, pair.mine))
+    phi_adam = AdamState.like(pair.phi)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
     history: dict[str, list[float]] = {"loss": [], "recons": [], "mi": []}
-    n_rec = x_rec_full.shape[0]
+    n_rec = rec.n_rows
     ws: dict = {}  # attention buffers shared by every step
     for epoch in range(config.epochs):
-        ep_loss, ep_rec, ep_mi, n_batches = 0.0, 0.0, 0.0, 0
+        totals, n_batches = dict.fromkeys(history, 0.0), 0
         rec_perm = rng.permutation(n_rec)
         rec_cursor = 0
         for idx in _batches(x_nl.shape[0], config.batch_size, rng):
@@ -401,27 +399,24 @@ def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
             take = idx.size
             rec_idx = rec_perm[(rec_cursor + np.arange(take)) % n_rec]
             rec_cursor += take
-            xr = x_rec_full[rec_idx]
+            xr = rec.values[rec_idx]
             shift = int(rng.integers(1, idx.size))
-            loss, parts, grads = loss_and_grads(model, xb, xr, fed, shift, ws)
+            loss, parts, grads = loss_and_grads(pair, xb, xr, fed, shift, ws)
             if not np.isfinite(loss):
                 raise LktDivergenceError(seed, epoch)
-            model.enc.adam_step(grads["enc"], config.learning_rate)
-            model.dec.adam_step(grads["dec"], config.learning_rate)
-            model.phi = model.phi_adam.update(model.phi, grads["phi"], config.learning_rate)
-            _mine_ascent(model, xb, fed, shift, config.learning_rate, ws)
-            ep_loss += loss
-            ep_rec += parts["recons"]
-            ep_mi += parts["mi"]
+            pair.enc.adam_step(enc_adam, grads["enc"], config.learning_rate)
+            pair.dec.adam_step(dec_adam, grads["dec"], config.learning_rate)
+            pair.phi = phi_adam.update(pair.phi, grads["phi"], config.learning_rate)
+            _mine_ascent(pair, mine_adam, xb, fed, shift, config.learning_rate, ws)
+            for key, value in {"loss": loss, **parts}.items():
+                totals[key] += value
             n_batches += 1
         if n_batches == 0:
             raise ValueError("batch size produced no usable batches")
-        history["loss"].append(ep_loss / n_batches)
-        history["recons"].append(ep_rec / n_batches)
-        history["mi"].append(ep_mi / n_batches)
-    model.history = history
-    model.keys = fed @ model.phi
-    return model
+        for key, total in totals.items():
+            history[key].append(total / n_batches)
+    return LktModel(enc=pair.enc, keys=fed @ pair.phi, temperature=pair.temperature,
+                    provenance=provenance, nl_columns=h_t_nl.columns, history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +445,19 @@ def _contrastive(sims: list[float], tau: float):
     return p, [-np.log(max(p_i, 1e-300)) for p_i in p]
 
 
+def _temperature(models) -> float:
+    """The contrastive temperature that all of ``models`` share."""
+    temps = sorted({m.temperature for m in models})
+    if len(temps) != 1:
+        raise ValueError(f"pair models disagree on the contrastive temperature: {temps}")
+    return temps[0]
+
+
 def contrastive_loss(models: list[LktModel], x: Array, targets: list[Array], i: int) -> float:
     """Loss for pair i: its encoder/readout similarity against all pairs'."""
     sims = [_mean_cosine_and_grad(m.enc.forward(x)[0], t)[0]
             for m, t in zip(models, targets)]
-    return float(_contrastive(sims, models[i].temperature)[1][i])
+    return float(_contrastive(sims, _temperature(models))[1][i])
 
 
 def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
@@ -462,10 +465,12 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
     """Push each pair encoder toward its own readout and away from the others.
 
     Only encoders move; readout targets are frozen at their pre-fine-tune
-    values, read over each model's stored attention ``keys``. With a single
-    pair the loss is identically zero: no step is taken, and the history
-    records a zero loss per epoch.
+    values, read over each model's stored attention ``keys``. Each encoder's
+    Adam moments start at zero, so the result does not depend on where the
+    models came from. With a single pair the loss is identically zero: no
+    step is taken, and the history records a zero loss per epoch.
     """
+    tau = _temperature(models)
     models = [m.copy() for m in models]
     n = len(models)
     if n == 1:
@@ -476,7 +481,7 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
     targets = [_readout(m, x, config.batch_size) for m in models]
 
     rng = np.random.default_rng(seed)
-    tau = models[0].temperature
+    adams = [m.enc.adam_state() for m in models]
     losses: list[float] = []
     for _ in range(config.finetune_epochs):
         ep_loss, n_batches = 0.0, 0
@@ -493,8 +498,8 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
             # only enc_i's own similarity backprops: d(loss_i)/d(sim_i) = (p_i - 1) / tau
             enc_grads = [m.enc.backward(cache, (p_i - 1.0) / tau * g, inputs=False)[0]
                          for m, cache, g, p_i in zip(models, caches, grads_e, p)]
-            for m, g in zip(models, enc_grads):
-                m.enc.adam_step(g, config.finetune_lr)
+            for m, adam, g in zip(models, adams, enc_grads):
+                m.enc.adam_step(adam, g, config.finetune_lr)
             ep_loss += sum(pair_losses) / n
             n_batches += 1
         losses.append(ep_loss / max(n_batches, 1))
@@ -507,18 +512,11 @@ def _readout(m: LktModel, x: Array, block: int) -> Array:
     """``m``'s attention readout of its encoding of ``x``, ``block`` rows at a
     time, so no len(x) x |overlap| array is made."""
     e = m.enc.forward(x)[0]
-    keys = _keys(m)
     out = np.empty_like(e)
     ws: dict = {}
     for start in range(0, e.shape[0], block):
-        out[start:start + block] = _attend(e[start:start + block], keys, ws)[0]
+        out[start:start + block] = _attend(e[start:start + block], m.keys, ws)[0]
     return out
-
-
-def _keys(m: LktModel) -> Array:
-    if m.keys is None:
-        raise ValueError(f"pair model {m.provenance!r} has no attention keys; lkt_train sets them")
-    return m.keys
 
 
 def encoder_redundancy(models: list[LktModel], h_t_nl: FeatureMatrix) -> float:
@@ -581,7 +579,7 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
         "models": [
             {
                 "enc": m.enc.to_dict(),
-                "keys": _keys(m).tolist(),
+                "keys": m.keys.tolist(),
                 "temperature": m.temperature,
                 "provenance": m.provenance,
                 "nl_columns": list(m.nl_columns),
@@ -595,10 +593,8 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
 
 
 def load_models(path):
-    """Returns (models, config_hash); rejects mismatched schema widths.
-
-    A checkpoint keeps what augmentation and fine-tuning read (see
-    ``LktModel``); the loaded models have no training state."""
+    """Returns (models, config_hash); rejects mismatched schema widths,
+    non-finite keys and a temperature that is not finite and > 0."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -608,13 +604,16 @@ def load_models(path):
     for md in doc["models"]:
         enc = DenseNet.from_dict(md["enc"])
         keys = np.asarray(md["keys"], dtype=float)
+        temperature = float(md["temperature"])
         if enc.input_dim != len(md["nl_columns"]):
             raise ValueError("checkpoint schema mismatch: encoder input width")
         if keys.ndim != 2 or keys.shape[1] != enc.output_dim:
             raise ValueError("checkpoint schema mismatch: latent width")
-        models.append(LktModel(
-            enc=enc, dec=None, phi=None, mine=None, temperature=float(md["temperature"]),
-            weights=None, provenance=md["provenance"], nl_columns=tuple(md["nl_columns"]),
-            recon_columns=None, keys=keys,
-        ))
+        if not np.all(np.isfinite(keys)):
+            raise ValueError(f"checkpoint model {md['provenance']!r}: keys are not finite")
+        if not (np.isfinite(temperature) and temperature > 0):
+            raise ValueError(f"checkpoint model {md['provenance']!r}: temperature must be "
+                             f"finite and > 0, got {temperature}")
+        models.append(LktModel(enc=enc, keys=keys, temperature=temperature,
+                               provenance=md["provenance"], nl_columns=tuple(md["nl_columns"])))
     return models, doc["config_hash"]

@@ -225,9 +225,6 @@ class AdamState:
     def like(cls, p: Array) -> "AdamState":
         return cls(m=np.zeros_like(p), v=np.zeros_like(p))
 
-    def copy(self) -> "AdamState":
-        return AdamState(self.m.copy(), self.v.copy(), self.t)
-
     def update(self, p: Array, grad: Array, lr: float) -> Array:
         """Advance the moments by one step; returns the updated parameters."""
         b1, b2 = ADAM_BETAS
@@ -253,7 +250,7 @@ class DenseLayer:
 
 
 class DenseNet:
-    """A stack of dense layers with manual forward/backward and Adam state.
+    """A stack of dense layers with manual forward/backward and Adam steps.
 
     ``backward`` returns per-layer (dW, db) gradients plus the gradient with
     respect to the network input, so nets can be chained (encoder feeding an
@@ -263,9 +260,8 @@ class DenseNet:
     All weights and biases live in one flat buffer, laid out as
     ``w_0, b_0, w_1, b_1, ...``; each layer's ``w`` and ``b`` are views into
     it, so they must be modified in place, never rebound (``adam_step``
-    raises if one has been). One Adam state covers the whole buffer; it is
-    made on the first ``adam_step``, so a net that is only evaluated (a
-    loaded checkpoint) carries none.
+    raises if one has been). A net holds parameters only: the Adam moments
+    belong to the loop that steps it, which makes them with ``adam_state``.
     """
 
     def __init__(self, layers: list[DenseLayer]):
@@ -281,7 +277,6 @@ class DenseNet:
             start += l.w.size
             l.b = self._params[start:start + l.b.size]
             start += l.b.size
-        self._adam: AdamState | None = None  # made by the first adam_step
 
     @classmethod
     def create(cls, sizes: list[int], activations: list[str], rng) -> "DenseNet":
@@ -356,7 +351,12 @@ class DenseNet:
                 g = np.matmul(gz, layer.w.T, out=_buf(ws, ("g", i), a_in.shape))
         return (grads if params else None), (g if inputs else None)
 
-    def adam_step(self, grads, lr: float, ascend: bool = False) -> None:
+    def adam_state(self) -> AdamState:
+        """Zero Adam moments over this net's parameters, for ``adam_step``."""
+        return AdamState.like(self._params)
+
+    def adam_step(self, state: AdamState, grads, lr: float, ascend: bool = False) -> None:
+        """One Adam step of the parameters along ``grads``, advancing ``state``."""
         if len(grads) != len(self.layers):
             raise ValueError("gradient shape mismatch")
         for layer, (dw, db) in zip(self.layers, grads):
@@ -369,14 +369,10 @@ class DenseNet:
         flat = np.concatenate([np.ravel(x) for pair in grads for x in pair])
         if ascend:
             flat = -flat
-        if self._adam is None:
-            self._adam = AdamState.like(self._params)
-        self._params[:] = self._adam.update(self._params, flat, lr)
+        self._params[:] = state.update(self._params, flat, lr)
 
     def copy(self) -> "DenseNet":
-        net = DenseNet([DenseLayer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers])
-        net._adam = None if self._adam is None else self._adam.copy()
-        return net
+        return DenseNet([DenseLayer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers])
 
     def to_dict(self) -> dict:
         return {

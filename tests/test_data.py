@@ -50,6 +50,12 @@ class TestFeatureMatrix:
         with pytest.raises(DataError, match="'a'"):
             FeatureMatrix(ids=("a", "a"), columns=("x",), values=np.ones((2, 1)))
 
+    def test_rejects_duplicate_column(self):
+        with pytest.raises(DataError, match="duplicate column name 'y'"):
+            FeatureMatrix(ids=("a",), columns=("y", "x", "y"), values=np.ones((1, 3)))
+        with pytest.raises(DataError, match="duplicate column name 'c1'"):
+            _matrix().select_columns(["c1", "c0", "c1"])
+
     def test_rejects_nan(self):
         with pytest.raises(DataError, match="NaN"):
             FeatureMatrix(ids=("a",), columns=("x",), values=np.array([[np.nan]]))
@@ -182,6 +188,13 @@ class TestCsv:
         path = tmp_path / "t.csv"
         path.write_text("id,x\na,1.0\na,2.0\n")
         with pytest.raises(DataError, match="duplicate sample id 'a'"):
+            load_csv(path, id_column="id")
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        # select_columns would otherwise pick the first of the two silently
+        path = tmp_path / "t.csv"
+        path.write_text("id,x,y,x\na,1.0,2.0,3.0\n")
+        with pytest.raises(DataError, match="duplicate column name 'x'"):
             load_csv(path, id_column="id")
 
     def test_header_only_rejected(self, tmp_path):

@@ -127,11 +127,12 @@ def _reference_classifier(x, labels, kind, seed, num_classes, epochs):
         lr = 0.01
     onehot = np.zeros((labels.size, num_classes))
     onehot[np.arange(labels.size), labels] = 1.0
+    adam = net.adam_state()
     for _ in range(epochs):
         logits, cache = net.forward(x)
         probs = softmax_rows(logits)
         grads, _ = net.backward(cache, (probs - onehot) / labels.size, inputs=False)
-        net.adam_step(grads, lr)
+        net.adam_step(adam, grads, lr)
     return net
 
 

@@ -222,6 +222,13 @@ class TestExperimentConfig:
         ("downstream", {"learning_rate": 0.0}, "learning_rate"),
         ("downstream", {"learning_rate": -0.05}, "learning_rate"),
         ("lkt", {"finetune_epochs": -2}, "finetune_epochs"),
+        ("lkt", {"mi_weight": -0.1}, "mi_weight must be finite and >= 0"),
+        ("lkt", {"mi_weight": float("nan")}, "mi_weight"),
+        ("lkt", {"mi_weight": float("inf")}, "mi_weight"),
+        ("lkt", {"beta_recons": -1.0, "beta_mi": 0.5}, "beta_recons"),
+        ("lkt", {"beta_recons": float("nan"), "beta_mi": 0.5}, "beta_recons"),
+        ("lkt", {"beta_recons": 1.0, "beta_mi": -0.5}, "beta_mi"),
+        ("lkt", {"beta_recons": 1.0, "beta_mi": float("inf")}, "beta_mi"),
     ])
     def test_invalid_lkt_and_downstream(self, section, bad, match):
         cls = {"lkt": LktConfig, "downstream": DownstreamParams}[section]
@@ -457,8 +464,7 @@ class TestPairTrainingMemo:
         assert hit.bus.trace == fresh.bus.trace
         for a, b in zip(hit.models, fresh.models, strict=True):
             assert self._encoder_bytes(a) == self._encoder_bytes(b)
-            for name in ("phi", "keys"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert a.keys.tobytes() == b.keys.tobytes()
             assert a.history == b.history
 
     def test_mutating_a_result_leaves_later_hits_alone(self):
@@ -469,11 +475,9 @@ class TestPairTrainingMemo:
         for m in first.models:
             m.enc.layers[0].w += 1.0
             m.keys *= 2.0
-            m.phi[:] = 0.0
             m.history["loss"].append(1.0)
         second = run_pipeline_once(cfg, "ablation-no-cl", ds, run_seed=0)
         assert [(self._encoder_bytes(m), m.keys.tobytes()) for m in second.models] == want
-        assert all(m.phi.any() for m in second.models)
         assert all(len(m.history["loss"]) == cfg.lkt.epochs for m in second.models)
 
     @pytest.mark.parametrize("condition, seed, edit", [
@@ -530,26 +534,32 @@ class TestAddDataHospital:
         assert models[-1].provenance == "data-new"
         # exactly one protocol run for the one new party
         assert len(bus.messages_of_kind("frl_begin")) == 1
-        # existing pair models were not retrained (same pre-fine-tune phi)
-        np.testing.assert_array_equal(models[0].phi, base.models[0].phi)
+        # existing pair models were not retrained (same attention keys)
+        assert models[0].keys.tobytes() == base.models[0].keys.tobytes()
 
     def test_new_pair_finetunes_against_the_representation_it_trained_on(self, monkeypatch):
         cfg = _tiny_config()
         assert cfg.frl.method == "fedsvd"  # its column signs follow the FRL seed
         ds = prepare_dataset(cfg)
         base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
-        trained = []
-        real_train = lkt.lkt_train
+        trained, pairs = [], []
+        real_train, real_build = lkt.lkt_train, lkt.build_model
 
         def train(h_t_ol, h_t_nl, h_fed, *args, **kwargs):
             trained.append(h_fed.matrix)
             return real_train(h_t_ol, h_t_nl, h_fed, *args, **kwargs)
 
+        def build(*args, **kwargs):
+            pairs.append(real_build(*args, **kwargs))  # its phi ends trained
+            return pairs[-1]
+
         monkeypatch.setattr(lkt, "lkt_train", train)
+        monkeypatch.setattr(lkt, "build_model", build)
         models, _ = add_data_hospital(base.models, cfg, ds, _new_party(ds), run_seed=0)
-        assert len(trained) == 1
+        assert len(trained) == len(pairs) == 1
         new = models[-1]
-        np.testing.assert_array_equal(new.keys, lkt._column_standardize(trained[0]) @ new.phi)
+        np.testing.assert_array_equal(new.keys,
+                                      lkt._column_standardize(trained[0]) @ pairs[0].phi)
 
     def test_existing_hospitals_stay_offline(self, tmp_path):
         # the update reads only the ids of the existing data parties: any
@@ -567,6 +577,55 @@ class TestAddDataHospital:
             lkt.save_models(tmp_path / name / "models.json", models, cfg.config_hash)
         assert ((tmp_path / "real" / "models.json").read_bytes()
                 == (tmp_path / "redrawn" / "models.json").read_bytes())
+
+    def test_update_is_the_same_on_reloaded_models(self, tmp_path):
+        # the fine-tune starts fresh Adam moments, so the models a run just
+        # made and the same models read back from their checkpoint take a
+        # new hospital alike, to the bit
+        cfg = _tiny_config(synthetic=replace(_tiny_config().synthetic, data_features=(4, 3)))
+        ds = prepare_dataset(cfg)
+        base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+        lkt.save_models(tmp_path / "models.json", base.models, cfg.config_hash)
+        loaded, _ = lkt.load_models(tmp_path / "models.json")
+        got, _ = add_data_hospital(loaded, cfg, ds, _new_party(ds), run_seed=0)
+        want, _ = add_data_hospital(base.models, cfg, ds, _new_party(ds), run_seed=0)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert [(l.w.tobytes(), l.b.tobytes()) for l in g.enc.layers] == [
+                (l.w.tobytes(), l.b.tobytes()) for l in w.enc.layers]
+            assert g.keys.tobytes() == w.keys.tobytes()
+            assert g.history["contrastive"] == w.history["contrastive"]
+
+    def test_checkpoint_under_another_temperature_rejected(self, tmp_path):
+        cfg = _tiny_config(synthetic=replace(_tiny_config().synthetic, data_features=(4, 3)))
+        ds = prepare_dataset(cfg)
+        base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+        lkt.save_models(tmp_path / "models.json", base.models, cfg.config_hash)
+        loaded, _ = lkt.load_models(tmp_path / "models.json")
+        hot = replace(cfg, lkt=replace(cfg.lkt, temperature=2.0))
+        with pytest.raises(ValueError, match=r"temperature: \[0.5, 2.0\]"):
+            add_data_hospital(loaded, hot, ds, _new_party(ds), run_seed=0)
+
+    @pytest.mark.parametrize("party_id, role, match", [
+        ("data-1", "data", "'data-1' already has a pair model"),
+        ("data-new", "task", "'data-new' has role 'task', not 'data'"),
+    ])
+    def test_bad_new_party_rejected_before_any_work(self, monkeypatch, party_id, role, match):
+        from vfkt import experiment
+
+        cfg = _tiny_config(synthetic=replace(_tiny_config().synthetic, data_features=(4, 3)))
+        ds = prepare_dataset(cfg)
+        base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+        party = PartyState(party_id=party_id, role=role, features=_new_party(ds).features)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work ran before the new party was checked")
+
+        for name in ("psi_intersect", "run_frl", "_train_pair_models"):
+            monkeypatch.setattr(experiment, name, forbidden)
+        monkeypatch.setattr(lkt, "lkt_train", forbidden)
+        with pytest.raises(DataError, match=match):
+            add_data_hospital(base.models, cfg, ds, party, run_seed=0)
 
     def test_schema_change_rejected(self):
         cfg = _tiny_config()

@@ -1,6 +1,7 @@
 """Every name a ``vfkt`` module imports is used in that module, each
-module imports only the modules below it in ``LAYERS``, and no module holds
-mutable state at module level (a cache lives on the object it serves)."""
+module imports only the modules below it in ``LAYERS``, no module holds
+mutable state at module level (a cache lives on the object it serves), and
+every function reads each of its parameters."""
 
 import ast
 from pathlib import Path
@@ -148,3 +149,43 @@ def test_detects_module_state():
                          ids=lambda p: p.name)
 def test_no_module_state(path):
     assert module_state(path.read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter of a function, method or
+    lambda that its body never reads; ``self`` and ``cls`` are exempt, and a
+    read in a nested function counts for the function that encloses it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = scope + getattr(child, "name", "<lambda>")
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                          if p is not None and p.arg not in ("self", "cls")]
+                read = {n.id for n in ast.walk(child)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{name}({p})" for p in params if p not in read)
+                visit(child, name + ".")
+            else:
+                visit(child, scope + child.name + "." if isinstance(child, ast.ClassDef) else scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_detects_an_unread_parameter():
+    src = ("def f(a, b, *args, c=1, **kw):\n    d = 2\n    return a + d + c\n"
+           "class K:\n    def m(self, x, y):\n        return [y for _ in ()]\n"
+           "    @classmethod\n    def k(cls, z):\n        return lambda u, v: z(v)\n"
+           "def outer(p, q):\n    def inner(r):\n        return p\n    return inner\n")
+    assert unread_parameters(src) == ["f(b)", "f(args)", "f(kw)", "K.m(x)", "K.k.<lambda>(u)",
+                                      "outer(q)", "outer.inner(r)"]
+    assert unread_parameters("def f(self, cls):\n    pass\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(vfkt.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

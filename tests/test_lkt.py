@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vfkt import lkt
 from vfkt.data import FeatureMatrix, OverlapIndex, standardize
 from vfkt.frl import FederatedRepresentation
 from vfkt.lkt import (
     LktConfig,
+    LktModel,
     _attention_backward,
     _attention_forward,
     _column_standardize,
@@ -53,6 +55,30 @@ def _feature_matrix(values, prefix="s"):
         columns=tuple(f"x{j}" for j in range(values.shape[1])),
         values=values,
     )
+
+
+def _pair_model(k, cfg, columns, n_keys):
+    """An untrained pair model: ``build_model``'s encoder over ``columns``,
+    with random attention keys."""
+    pair = build_model(len(columns), len(columns), 5, cfg, seed=k, provenance=f"pair-{k}",
+                       nl_columns=columns, recon_columns=columns)
+    keys = np.random.default_rng(10 + k).normal(size=(n_keys, pair.enc.output_dim))
+    return LktModel(enc=pair.enc, keys=keys, temperature=cfg.temperature,
+                    provenance=f"pair-{k}", nl_columns=tuple(columns))
+
+
+def _trained_pairs(monkeypatch):
+    """The ``TrainingPair`` of every ``lkt_train`` call from here on, as it
+    stands when training ends."""
+    pairs = []
+    real_build = lkt.build_model
+
+    def build(*args, **kwargs):
+        pairs.append(real_build(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(lkt, "build_model", build)
+    return pairs
 
 
 def _attention_weights(query, h_fed, phi):
@@ -341,8 +367,14 @@ class TestConfig:
         model = build_model(n_nl=5, n_rec=5, n_fed=3, config=cfg, seed=0,
                             provenance="p", nl_columns=list("abcde"),
                             recon_columns=list("abcde"))
-        assert model.latent_dim == 5
+        assert model.enc.output_dim == 5
         assert model.phi.shape == (3, 5)
+
+    def test_column_names_must_match_the_widths(self):
+        with pytest.raises(ValueError, match="'p': 3 input and 5 reconstruction column names "
+                                             "for widths 5 and 5"):
+            build_model(n_nl=5, n_rec=5, n_fed=3, config=LktConfig(), seed=0, provenance="p",
+                        nl_columns=list("abc"), recon_columns=list("abcde"))
 
 
 class TestFinetune:
@@ -359,9 +391,32 @@ class TestFinetune:
 
     def test_single_pair_loss_is_exact_zero(self):
         models, x, feds, cfg = self._trained_pair()
-        t = cross_attention(models[0].enc.forward(x.values)[0],
-                            feds[0].matrix, models[0].phi)
+        t = cross_attention(models[0].enc.forward(x.values)[0], models[0].keys, np.eye(3))
         assert contrastive_loss(models[:1], x.values, [t], 0) == 0.0
+
+    def test_mixed_temperatures_rejected(self):
+        models, x, feds, cfg = self._trained_pair()
+        models[1].temperature = 0.25
+        with pytest.raises(ValueError, match=r"disagree on the contrastive temperature: "
+                                             r"\[0.25, 0.5\]"):
+            lkt_finetune_contrastive(models, x, cfg, seed=0)
+        t = [m.enc.forward(x.values)[0] for m in models]
+        with pytest.raises(ValueError, match="disagree on the contrastive temperature"):
+            contrastive_loss(models, x.values, t, 0)
+
+    def test_moments_start_at_zero_whatever_stepped_the_encoders(self):
+        # a fine-tune's result does not depend on an earlier fine-tune of
+        # the same encoders: its output fine-tunes as its reloaded copy does
+        models, x, feds, cfg = self._trained_pair()
+        once = lkt_finetune_contrastive(models, x, cfg, seed=0)
+        rebuilt = [LktModel(enc=DenseNet.from_dict(m.enc.to_dict()), keys=m.keys.copy(),
+                            temperature=m.temperature, provenance=m.provenance,
+                            nl_columns=m.nl_columns) for m in once]
+        a = lkt_finetune_contrastive(once, x, cfg, seed=1)
+        b = lkt_finetune_contrastive(rebuilt, x, cfg, seed=1)
+        for m, r in zip(a, b, strict=True):
+            assert m.enc.forward(x.values)[0].tobytes() == r.enc.forward(x.values)[0].tobytes()
+        assert a[0].history["contrastive"] == b[0].history["contrastive"]
 
     def test_single_pair_finetune_is_a_no_op(self):
         models, x, feds, cfg = self._trained_pair()
@@ -386,13 +441,25 @@ class TestFinetune:
         assert hist[-1] < hist[0]
         assert encoder_redundancy(out, x) < 1.0
 
-    def test_keys_come_from_training_and_are_required(self):
+    def test_keys_come_from_training_and_are_required(self, monkeypatch):
+        pairs = _trained_pairs(monkeypatch)
         models, x, feds, cfg = self._trained_pair()
-        for m, f in zip(models, feds):
-            np.testing.assert_array_equal(m.keys, _column_standardize(f.matrix) @ m.phi)
-        models[1].keys = None
-        with pytest.raises(ValueError, match="'pair-1' has no attention keys"):
-            lkt_finetune_contrastive(models, x, cfg, seed=0)
+        for m, f, pair in zip(models, feds, pairs, strict=True):
+            assert m.enc is pair.enc
+            np.testing.assert_array_equal(m.keys, _column_standardize(f.matrix) @ pair.phi)
+        with pytest.raises(TypeError, match="keys"):
+            LktModel(enc=models[0].enc, temperature=0.5, provenance="p",
+                     nl_columns=x.columns)
+
+    def test_a_trained_model_is_its_encoder_and_keys(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(LktModel)] == [
+            "enc", "keys", "temperature", "provenance", "nl_columns", "history"]
+        models, *_ = self._trained_pair()
+        for m in models:
+            assert set(m.history) == {"loss", "recons", "mi"}
+            assert m.latent_dim == m.enc.output_dim == m.keys.shape[1] == 3
 
     def test_targets_are_read_in_batch_blocks(self):
         # 2000 rows over 1200 keys: each frozen target is read one batch of
@@ -400,13 +467,7 @@ class TestFinetune:
         rng = np.random.default_rng(6)
         x = _feature_matrix(rng.normal(size=(2000, 4)))
         cfg = LktConfig(latent_dim=3, hidden_width=4, mine_hidden=(4, 4), finetune_epochs=1)
-        models = []
-        for k in range(2):
-            m = build_model(n_nl=4, n_rec=4, n_fed=3, config=cfg, seed=k,
-                            provenance=f"pair-{k}", nl_columns=x.columns,
-                            recon_columns=x.columns)
-            m.keys = rng.normal(size=(1200, 3))
-            models.append(m)
+        models = [_pair_model(k, cfg, x.columns, n_keys=1200) for k in range(2)]
         tracemalloc.start()
         try:
             lkt_finetune_contrastive(models, x, cfg, seed=0)
@@ -426,12 +487,7 @@ class TestAugment:
         rng = np.random.default_rng(5)
         x = _feature_matrix(rng.normal(size=(12, 4)))
         cfg = LktConfig(latent_dim=2, hidden_width=3, mine_hidden=(3, 3))
-        models = [
-            build_model(4, 4, 5, cfg, seed=k, provenance=f"pair-{k}",
-                        nl_columns=x.columns, recon_columns=x.columns)
-            for k in range(n_models)
-        ]
-        return models, x
+        return [_pair_model(k, cfg, x.columns, n_keys=7) for k in range(n_models)], x
 
     def test_block_order_and_columns(self):
         models, x = self._models()
@@ -476,15 +532,7 @@ class TestAugment:
 class TestCheckpoints:
     def _models(self):
         cfg = LktConfig(latent_dim=2, hidden_width=3, mine_hidden=(3, 3))
-        models = [
-            build_model(4, 4, 5, cfg, seed=k, provenance=f"pair-{k}",
-                        nl_columns=("a", "b", "c", "d"),
-                        recon_columns=("a", "b", "c", "d"))
-            for k in range(2)
-        ]
-        for k, m in enumerate(models):
-            m.keys = np.random.default_rng(10 + k).normal(size=(7, 2))
-        return models
+        return [_pair_model(k, cfg, ("a", "b", "c", "d"), n_keys=7) for k in range(2)]
 
     def test_round_trip(self, tmp_path):
         models = self._models()
@@ -496,8 +544,7 @@ class TestCheckpoints:
         x = np.random.default_rng(7).normal(size=(6, 4))
         for m, l in zip(models, loaded):
             np.testing.assert_array_equal(m.enc.forward(x)[0], l.enc.forward(x)[0])
-            # training state is not kept
-            assert (l.dec, l.phi, l.mine, l.weights, l.recon_columns) == (None,) * 5
+            assert l.history == {}  # the training curves are not kept
             np.testing.assert_array_equal(m.keys, l.keys)
             assert l.provenance == m.provenance
             assert l.nl_columns == m.nl_columns
@@ -576,15 +623,37 @@ class TestCheckpoints:
         assert [m.provenance for m in got] == ["data-0", "data-new"]
         assert len(bus.messages_of_kind("frl_begin")) == 1
         # the update reads nothing the checkpoint drops: the in-memory
-        # models, with their training state but without the fine-tune's
-        # Adam moments (which no checkpoint has carried), give the same models
-        for m in base.models:
-            m.enc = DenseNet.from_dict(m.enc.to_dict())
+        # models give the same models
         want, _ = add_data_hospital(base.models, cfg, ds, new_party, run_seed=0)
         x = ds.task.features.values
         for g, w in zip(got, want, strict=True):
             assert g.enc.forward(x)[0].tobytes() == w.enc.forward(x)[0].tobytes()
             assert g.keys.tobytes() == w.keys.tobytes()
+
+    def _tampered(self, tmp_path, key, value):
+        import json
+
+        path = tmp_path / "models.json"
+        save_models(path, self._models(), config_hash="h")
+        doc = json.loads(path.read_text())
+        if key == "keys":
+            doc["models"][1]["keys"][3][1] = value
+        else:
+            doc["models"][1][key] = value
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
+    def test_rejects_a_bad_temperature(self, tmp_path, value):
+        path = self._tampered(tmp_path, "temperature", value)
+        with pytest.raises(ValueError, match=f"'pair-1': temperature must be finite and > 0, "
+                                             f"got {value}"):
+            load_models(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_rejects_non_finite_keys(self, tmp_path, value):
+        with pytest.raises(ValueError, match="'pair-1': keys are not finite"):
+            load_models(self._tampered(tmp_path, "keys", value))
 
     def test_rejects_schema_tampering(self, tmp_path):
         import json
@@ -630,9 +699,3 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="checkpoint version 1; this build reads version 3"):
             load_models(path)
-
-    def test_model_without_keys_is_not_saved(self, tmp_path):
-        models = self._models()
-        models[1].keys = None
-        with pytest.raises(ValueError, match="'pair-1' has no attention keys"):
-            save_models(tmp_path / "models.json", models, config_hash="h")

@@ -336,11 +336,30 @@ class TestDenseNet:
             return float(np.mean((out - y) ** 2))
 
         before = mse()
+        adam = net.adam_state()
         for _ in range(200):
             out, cache = net.forward(x)
             grads, _ = net.backward(cache, 2 * (out - y) / y.size)
-            net.adam_step(grads, lr=1e-2)
+            net.adam_step(adam, grads, lr=1e-2)
         assert mse() < before * 0.5
+        assert adam.t == 200
+
+    def test_net_holds_parameters_only(self):
+        """The moments live in the caller's state: a net, and its copy,
+        steps the same from fresh moments whatever stepped it before."""
+        rng = np.random.default_rng(8)
+        net = DenseNet.create([2, 3, 1], ["sigmoid", "linear"], rng)
+        out, cache = net.forward(rng.standard_normal((5, 2)))
+        grads, _ = net.backward(cache, np.ones_like(out))
+        stepped = net.copy()
+        stepped.adam_step(stepped.adam_state(), grads, lr=1e-2)
+        assert not any(isinstance(v, AdamState) for v in vars(stepped).values())
+        a, b = stepped.copy(), DenseNet.from_dict(stepped.to_dict())
+        for n in (a, b):
+            n.adam_step(n.adam_state(), grads, lr=1e-2)
+        assert [l.w.tobytes() for l in a.layers] == [l.w.tobytes() for l in b.layers]
+        with pytest.raises(ValueError):  # another net's state
+            net.adam_step(AdamState.like(np.zeros(3)), grads, lr=1e-2)
 
     def test_copy_is_independent(self):
         rng = np.random.default_rng(4)
@@ -357,10 +376,11 @@ class TestDenseNet:
         x = rng.standard_normal((5, 2))
         out, cache = net.forward(x)
         grads, _ = net.backward(cache, np.ones_like(out))
-        net.adam_step(grads, lr=1e-2)
+        adam = net.adam_state()
+        net.adam_step(adam, grads, lr=1e-2)
         net.layers[1].b = net.layers[1].b.copy()
         with pytest.raises(RuntimeError, match="rebound"):
-            net.adam_step(grads, lr=1e-2)
+            net.adam_step(adam, grads, lr=1e-2)
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(5)
