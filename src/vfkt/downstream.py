@@ -31,8 +31,8 @@ class DownstreamParams:
             raise ConfigError("n_seeds must be >= 1")
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.few_shot_fraction is not None and not 0.0 < self.few_shot_fraction <= 1.0:

@@ -136,16 +136,17 @@ def _field_value(tp, value, path: str):
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     task: PartyState
-    data_parties: list[PartyState]
-    # (cfg.frl, cfg.ol_columns, cfg.nl_columns, LKT config, run seed) ->
-    # (models, flagged, bus) of the first pair training run with those
-    # inputs on these parties, for conditions that differ only after pair
-    # training to reuse (see ``_pair_models``); the parties are not part
-    # of the key, so they must not change once a run has used them.
+    data_parties: tuple[PartyState, ...]
+    # (cfg.frl, cfg.ol_columns, cfg.nl_columns, LKT config, run seed) -> the
+    # PairRun of the first pair training with those inputs, for conditions
+    # that differ only after pair training to reuse (see ``_pair_models``)
     pair_models: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "data_parties", tuple(self.data_parties))
 
 
 def prepare_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -159,13 +160,19 @@ def prepare_dataset(cfg: ExperimentConfig) -> Dataset:
             feat, _ = load_csv(p, cfg.csv.id_column, None)
             data_parties.append(PartyState(party_id=f"data-{k}", role="data", features=feat))
     if cfg.standardize_features:
-        task = PartyState(party_id=task.party_id, role="task",
-                          features=standardize(task.features)[0], labels=task.labels)
-        data_parties = [
-            PartyState(party_id=p.party_id, role="data", features=standardize(p.features)[0])
-            for p in data_parties
-        ]
+        task = replace(task, features=standardize(task.features)[0])
+        data_parties = [replace(p, features=standardize(p.features)[0]) for p in data_parties]
     return Dataset(task=task, data_parties=data_parties)
+
+
+@dataclass(frozen=True)
+class PairRun:
+    """Steps 1-2 of one seed: the pair models, the number of FRL local runs
+    that came back flagged, and the bus that traced the protocol runs."""
+
+    models: list = field(default_factory=list)
+    flagged: int = 0
+    bus: MessageBus = field(default_factory=MessageBus)
 
 
 @dataclass
@@ -174,17 +181,17 @@ class PipelineResult:
     models: list
     bus: MessageBus
     augmented_columns: int
-    flagged: int = 0  # FRL local runs that did not settle, over all pairs
+    flagged: int  # FRL local runs that did not settle, over all pairs
 
 
 def _train_pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, task: PartyState,
-                       parties: list[PartyState], h_t_nl: FeatureMatrix, run_seed: int,
-                       bus: MessageBus, first: int = 0):
-    """Steps 1-2 for every task/data-party pair: PSI, the task's overlap
-    partition, the FRL protocol and LKT training. Returns the models before
-    any fine-tune and the number of FRL local runs that came back flagged.
-    ``first`` is the index of the first of ``parties`` among all data
-    parties of the run; a party's index seeds its protocol."""
+                       parties: tuple[PartyState, ...], h_t_nl: FeatureMatrix, run_seed: int,
+                       first: int = 0) -> PairRun:
+    """Steps 1-2 for every task/data-party pair, on a bus of their own: PSI,
+    the task's overlap partition, the FRL protocol and LKT training, with no
+    fine-tune. ``first`` is the index of the first of ``parties`` among all
+    data parties of the run; a party's index seeds its protocol."""
+    bus = MessageBus()
     models = []
     flagged = 0
     for k, party in enumerate(parties, start=first):
@@ -210,27 +217,22 @@ def _train_pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, task: PartySta
                                   seed=run_seed * 1000 + 500,
                                   provenance=party.party_id)
         models.append(model)
-    return models, flagged
+    return PairRun(models, flagged, bus)
 
 
 def _pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, dataset: Dataset,
-                 h_t_nl: FeatureMatrix, run_seed: int):
-    """``_train_pair_models`` over all of ``dataset``'s data parties, run once
-    per set of inputs that decide its result: a later call with the same
-    inputs gets copies of the same models, the same flagged count and the
-    same bus, whose trace records the protocol runs those models came from.
-    Returns (models, flagged, bus)."""
+                 h_t_nl: FeatureMatrix, run_seed: int) -> PairRun:
+    """``_train_pair_models`` over all of ``dataset``'s data parties, run once per
+    set of inputs that decide its result; later calls get copies of its models."""
     key = (cfg.frl, cfg.ol_columns, cfg.nl_columns, lkt_cfg, run_seed)
     if key not in dataset.pair_models:
-        bus = MessageBus()
-        models, flagged = _train_pair_models(cfg, lkt_cfg, dataset.task, dataset.data_parties,
-                                             h_t_nl, run_seed, bus)
-        dataset.pair_models[key] = (models, flagged, bus)
-    models, flagged, bus = dataset.pair_models[key]
-    return [m.copy() for m in models], flagged, bus
+        dataset.pair_models[key] = _train_pair_models(cfg, lkt_cfg, dataset.task,
+                                                      dataset.data_parties, h_t_nl, run_seed)
+    run = dataset.pair_models[key]
+    return replace(run, models=[m.copy() for m in run.models])
 
 
-def _non_overlap(cfg: ExperimentConfig, task: PartyState, parties: list[PartyState]):
+def _non_overlap(cfg: ExperimentConfig, task: PartyState, parties: tuple[PartyState, ...]):
     """The task party's non-overlap partition, shared by every pair: the rows
     no data party holds (the union of the overlaps removed), as (row indices,
     features restricted to ``cfg.nl_columns`` when set)."""
@@ -255,27 +257,26 @@ def run_pipeline_once(cfg: ExperimentConfig, condition: str, dataset: Dataset,
     nl_idx, h_t_nl = _non_overlap(cfg, dataset.task, dataset.data_parties)
     y_nl = dataset.task.labels.select_rows(nl_idx)
 
-    if condition == "local":
-        models, flagged, bus = [], 0, MessageBus()
-        x = h_t_nl.values
-    else:
+    run = PairRun()
+    x = h_t_nl.values
+    if condition != "local":
         lkt_cfg = cfg.lkt
         if condition == "ablation-no-mi":
             lkt_cfg = replace(lkt_cfg, mi_weight=0.0,
                               beta_mi=0.0 if lkt_cfg.beta_mi is not None else None)
-        models, flagged, bus = _pair_models(cfg, lkt_cfg, dataset, h_t_nl, run_seed)
-        if condition != "ablation-no-cl" and models:
-            models = lkt_mod.lkt_finetune_contrastive(models, h_t_nl, lkt_cfg,
-                                                      seed=run_seed * 1000 + 999)
-        x = lkt_mod.augment(models, h_t_nl).matrix.values
+        run = _pair_models(cfg, lkt_cfg, dataset, h_t_nl, run_seed)
+        if condition != "ablation-no-cl" and run.models:
+            run = replace(run, models=lkt_mod.lkt_finetune_contrastive(
+                run.models, h_t_nl, lkt_cfg, seed=run_seed * 1000 + 999))
+        x = lkt_mod.augment(run.models, h_t_nl).matrix.values
 
     train_idx, test_idx = stratified_split(y_nl.labels, cfg.downstream, run_seed)
     clf = train_classifier(x[train_idx], y_nl.labels[train_idx], cfg.downstream.model,
                            seed=run_seed, num_classes=y_nl.num_classes,
                            epochs=cfg.downstream.epochs, lr=cfg.downstream.learning_rate)
     acc = evaluate(clf, x[test_idx], y_nl.labels[test_idx])
-    return PipelineResult(accuracy=acc, models=models, bus=bus,
-                          augmented_columns=x.shape[1], flagged=flagged)
+    return PipelineResult(accuracy=acc, models=run.models, bus=run.bus,
+                          augmented_columns=x.shape[1], flagged=run.flagged)
 
 
 def run_condition(cfg: ExperimentConfig, condition: str, dataset: Dataset | None = None,
@@ -339,17 +340,17 @@ def add_data_hospital(models: list, cfg: ExperimentConfig, dataset: Dataset,
     """
     if new_party.role != "data":
         raise DataError(f"{new_party.party_id!r} has role {new_party.role!r}, not 'data'")
-    _, h_t_nl = _non_overlap(cfg, dataset.task, dataset.data_parties + [new_party])
+    _, h_t_nl = _non_overlap(cfg, dataset.task, (*dataset.data_parties, new_party))
     if any(m.nl_columns != h_t_nl.columns for m in models):
         raise DataError("checkpoint schema incompatible with this dataset")
     if new_party.party_id in {m.provenance for m in models}:
         raise DataError(f"{new_party.party_id!r} already has a pair model")
-    bus = MessageBus()
-    new_models, _ = _train_pair_models(cfg, cfg.lkt, dataset.task, [new_party], h_t_nl,
-                                       run_seed, bus, first=len(dataset.data_parties))
-    all_models = lkt_mod.lkt_finetune_contrastive(models + new_models, h_t_nl, cfg.lkt,
+    lkt_mod.contrastive_temperature([cfg.lkt.temperature, *(m.temperature for m in models)])
+    new = _train_pair_models(cfg, cfg.lkt, dataset.task, (new_party,), h_t_nl, run_seed,
+                             first=len(dataset.data_parties))
+    all_models = lkt_mod.lkt_finetune_contrastive(models + new.models, h_t_nl, cfg.lkt,
                                                   seed=run_seed * 1000 + 999)
-    return all_models, bus
+    return all_models, new.bus
 
 
 SWEEP_AXES = ("task_features", "data_features", "overlap_count", "num_data_hospitals")

@@ -65,8 +65,9 @@ class LktConfig:
             if value is not None and value < low:
                 raise ConfigError(f"{name} must be >= {low}")
         for name in ("temperature", "learning_rate", "finetune_lr"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         for name in ("mi_weight", "beta_recons", "beta_mi"):
             w = getattr(self, name)
             if w is not None and not (np.isfinite(w) and w >= 0):
@@ -445,9 +446,9 @@ def _contrastive(sims: list[float], tau: float):
     return p, [-np.log(max(p_i, 1e-300)) for p_i in p]
 
 
-def _temperature(models) -> float:
-    """The contrastive temperature that all of ``models`` share."""
-    temps = sorted({m.temperature for m in models})
+def contrastive_temperature(temperatures) -> float:
+    """The one temperature among those of pair models that fine-tune together."""
+    temps = sorted(set(temperatures))
     if len(temps) != 1:
         raise ValueError(f"pair models disagree on the contrastive temperature: {temps}")
     return temps[0]
@@ -457,7 +458,7 @@ def contrastive_loss(models: list[LktModel], x: Array, targets: list[Array], i: 
     """Loss for pair i: its encoder/readout similarity against all pairs'."""
     sims = [_mean_cosine_and_grad(m.enc.forward(x)[0], t)[0]
             for m, t in zip(models, targets)]
-    return float(_contrastive(sims, _temperature(models))[1][i])
+    return float(_contrastive(sims, contrastive_temperature(m.temperature for m in models))[1][i])
 
 
 def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
@@ -470,7 +471,7 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
     models came from. With a single pair the loss is identically zero: no
     step is taken, and the history records a zero loss per epoch.
     """
-    tau = _temperature(models)
+    tau = contrastive_temperature(m.temperature for m in models)
     models = [m.copy() for m in models]
     n = len(models)
     if n == 1:

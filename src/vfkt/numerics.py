@@ -260,13 +260,18 @@ class DenseNet:
     All weights and biases live in one flat buffer, laid out as
     ``w_0, b_0, w_1, b_1, ...``; each layer's ``w`` and ``b`` are views into
     it, so they must be modified in place, never rebound (``adam_step``
-    raises if one has been). A net holds parameters only: the Adam moments
+    raises if one has been); unpickling goes through ``__init__``, which
+    makes them views again. A net holds parameters only: the Adam moments
     belong to the loop that steps it, which makes them with ``adam_state``.
     """
 
     def __init__(self, layers: list[DenseLayer]):
-        for prev, nxt in zip(layers, layers[1:]):
-            if prev.w.shape[1] != nxt.w.shape[0]:
+        for i, l in enumerate(layers):
+            if l.activation not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {l.activation!r}")
+            if l.w.ndim != 2 or l.b.shape != l.w.shape[1:]:
+                raise ValueError(f"bias of shape {l.b.shape} for weights of shape {l.w.shape}")
+            if i and layers[i - 1].w.shape[1] != l.w.shape[0]:
                 raise ValueError("consecutive layer dimensions do not chain")
         self.layers = layers
         self._params = np.concatenate(
@@ -282,9 +287,6 @@ class DenseNet:
     def create(cls, sizes: list[int], activations: list[str], rng) -> "DenseNet":
         if len(sizes) < 2 or len(activations) != len(sizes) - 1:
             raise ValueError("sizes/activations mismatch")
-        for act in activations:
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
         rng = _rng(rng)
         layers = []
         for fan_in, fan_out, act in zip(sizes, sizes[1:], activations):
@@ -371,6 +373,9 @@ class DenseNet:
             flat = -flat
         self._params[:] = state.update(self._params, flat, lr)
 
+    def __reduce__(self):
+        return DenseNet, (self.layers,)
+
     def copy(self) -> "DenseNet":
         return DenseNet([DenseLayer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers])
 
@@ -389,4 +394,6 @@ class DenseNet:
                        l["activation"])
             for l in d["layers"]
         ]
+        if not all(np.all(np.isfinite(x)) for l in layers for x in (l.w, l.b)):
+            raise ValueError("network weights are not finite")
         return cls(layers)

@@ -1,8 +1,10 @@
 """Tests for experiment configs, the end-to-end pipeline, sweeps, and the CLI."""
 
 import hashlib
+import inspect
 import json
-from dataclasses import FrozenInstanceError, asdict, replace
+import pickle
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from vfkt.experiment import (
     DownstreamParams,
     ExperimentConfig,
     FrlParams,
+    PairRun,
     add_data_hospital,
     from_dict,
     prepare_dataset,
@@ -229,6 +232,10 @@ class TestExperimentConfig:
         ("lkt", {"beta_recons": float("nan"), "beta_mi": 0.5}, "beta_recons"),
         ("lkt", {"beta_recons": 1.0, "beta_mi": -0.5}, "beta_mi"),
         ("lkt", {"beta_recons": 1.0, "beta_mi": float("inf")}, "beta_mi"),
+        ("lkt", {"temperature": float("inf")}, "temperature must be finite and > 0, got inf"),
+        ("lkt", {"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
+        ("lkt", {"finetune_lr": float("inf")}, "finetune_lr must be finite and > 0"),
+        ("downstream", {"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
     ])
     def test_invalid_lkt_and_downstream(self, section, bad, match):
         cls = {"lkt": LktConfig, "downstream": DownstreamParams}[section]
@@ -444,6 +451,44 @@ class TestPairTrainingMemo:
     def _encoder_bytes(model):
         return [(l.w.tobytes(), l.b.tobytes()) for l in model.enc.layers]
 
+    def test_pair_training_travels_as_one_pair_run(self):
+        from vfkt import experiment
+
+        assert [f.name for f in fields(PairRun)] == ["models", "flagged", "bus"]
+        assert "bus" not in inspect.signature(experiment._train_pair_models).parameters
+        cfg = self._cfg()
+        ds = prepare_dataset(cfg)
+        result = run_pipeline_once(cfg, "ablation-no-cl", ds, run_seed=0)
+        (run,) = ds.pair_models.values()
+        assert isinstance(run, PairRun)
+        assert result.bus is run.bus and result.flagged == run.flagged
+        assert len(result.models) == len(run.models) == 2
+
+    def test_a_pair_run_survives_pickling(self):
+        from vfkt import experiment
+
+        cfg = replace(self._cfg(), frl=FrlParams(method="vfedpca", iter_num=2))
+        ds = prepare_dataset(cfg)
+        _, h_t_nl = experiment._non_overlap(cfg, ds.task, ds.data_parties)
+        run = experiment._pair_models(cfg, cfg.lkt, ds, h_t_nl, run_seed=0)
+        back = pickle.loads(pickle.dumps(run))
+        assert run.flagged > 0 and back.flagged == run.flagged
+        assert back.bus.trace == run.bus.trace
+        for a, b in zip(run.models, back.models, strict=True):
+            assert self._encoder_bytes(a) == self._encoder_bytes(b)
+            assert a.keys.tobytes() == b.keys.tobytes()
+        # the unpickled encoders still take an Adam step
+        tuned = lkt.lkt_finetune_contrastive(back.models, h_t_nl, cfg.lkt, seed=1)
+        want = lkt.lkt_finetune_contrastive(run.models, h_t_nl, cfg.lkt, seed=1)
+        assert [self._encoder_bytes(m) for m in tuned] == [self._encoder_bytes(m) for m in want]
+
+    def test_a_dataset_cannot_change_under_its_memo(self):
+        ds = prepare_dataset(self._cfg())
+        built = Dataset(task=ds.task, data_parties=list(ds.data_parties))
+        assert isinstance(built.data_parties, tuple)
+        with pytest.raises(FrozenInstanceError):
+            built.data_parties = ()
+
     def test_no_cl_after_unitrans_trains_nothing(self, monkeypatch):
         cfg = self._cfg()
         ds = prepare_dataset(cfg)
@@ -596,13 +641,25 @@ class TestAddDataHospital:
             assert g.keys.tobytes() == w.keys.tobytes()
             assert g.history["contrastive"] == w.history["contrastive"]
 
-    def test_checkpoint_under_another_temperature_rejected(self, tmp_path):
+    @staticmethod
+    def _forbid_work(monkeypatch):
+        from vfkt import experiment
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work ran before the inputs were checked")
+
+        for name in ("psi_intersect", "run_frl", "_train_pair_models"):
+            monkeypatch.setattr(experiment, name, forbidden)
+        monkeypatch.setattr(lkt, "lkt_train", forbidden)
+
+    def test_checkpoint_under_another_temperature_rejected(self, tmp_path, monkeypatch):
         cfg = _tiny_config(synthetic=replace(_tiny_config().synthetic, data_features=(4, 3)))
         ds = prepare_dataset(cfg)
         base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
         lkt.save_models(tmp_path / "models.json", base.models, cfg.config_hash)
         loaded, _ = lkt.load_models(tmp_path / "models.json")
         hot = replace(cfg, lkt=replace(cfg.lkt, temperature=2.0))
+        self._forbid_work(monkeypatch)
         with pytest.raises(ValueError, match=r"temperature: \[0.5, 2.0\]"):
             add_data_hospital(loaded, hot, ds, _new_party(ds), run_seed=0)
 
@@ -611,19 +668,11 @@ class TestAddDataHospital:
         ("data-new", "task", "'data-new' has role 'task', not 'data'"),
     ])
     def test_bad_new_party_rejected_before_any_work(self, monkeypatch, party_id, role, match):
-        from vfkt import experiment
-
         cfg = _tiny_config(synthetic=replace(_tiny_config().synthetic, data_features=(4, 3)))
         ds = prepare_dataset(cfg)
         base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
         party = PartyState(party_id=party_id, role=role, features=_new_party(ds).features)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("work ran before the new party was checked")
-
-        for name in ("psi_intersect", "run_frl", "_train_pair_models"):
-            monkeypatch.setattr(experiment, name, forbidden)
-        monkeypatch.setattr(lkt, "lkt_train", forbidden)
+        self._forbid_work(monkeypatch)
         with pytest.raises(DataError, match=match):
             add_data_hospital(base.models, cfg, ds, party, run_seed=0)
 

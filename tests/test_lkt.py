@@ -650,6 +650,26 @@ class TestCheckpoints:
                                              f"got {value}"):
             load_models(path)
 
+    @pytest.mark.parametrize("where, value, match", [
+        ((0, "activation"), "swish", "unknown activation 'swish'"),
+        ((1, "w", 0, 1), float("nan"), "weights are not finite"),
+        ((2, "b", 0), float("inf"), "weights are not finite"),
+    ], ids=["activation", "nan-weight", "inf-bias"])
+    def test_rejects_a_bad_encoder(self, tmp_path, where, value, match):
+        import json
+
+        path = tmp_path / "models.json"
+        save_models(path, self._models(), config_hash="h")
+        doc = json.loads(path.read_text())
+        *outer, last = where
+        target = doc["models"][1]["enc"]["layers"]
+        for k in outer:
+            target = target[k]
+        target[last] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_models(path)
+
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
     def test_rejects_non_finite_keys(self, tmp_path, value):
         with pytest.raises(ValueError, match="'pair-1': keys are not finite"):

@@ -1,10 +1,13 @@
 """Tests for the dense linear-algebra and optimization kernels."""
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vfkt.numerics import (
     AdamState,
+    DenseLayer,
     DenseNet,
     PowerIterationResult,
     SvdConvergenceError,
@@ -392,3 +395,30 @@ class TestDenseNet:
     def test_unknown_activation_rejected(self):
         with pytest.raises(Exception):
             DenseNet.create([2, 2], ["swish"], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("layer, match", [
+        (DenseLayer(np.ones((2, 3)), np.zeros(3), "swish"), "unknown activation 'swish'"),
+        (DenseLayer(np.ones((2, 3)), np.zeros(2), "linear"),
+         r"bias of shape \(2,\) for weights of shape \(2, 3\)"),
+        (DenseLayer(np.ones(3), np.zeros(3), "linear"), r"weights of shape \(3,\)"),
+    ], ids=["activation", "bias-length", "1-d-weights"])
+    def test_every_way_to_build_a_net_checks_its_layers(self, layer, match):
+        doc = {"layers": [{"w": layer.w.tolist(), "b": layer.b.tolist(),
+                           "activation": layer.activation}]}
+        with pytest.raises(ValueError, match=match):
+            DenseNet([layer])
+        with pytest.raises(ValueError, match=match):
+            DenseNet.from_dict(doc)
+
+    def test_unpickled_net_steps_like_the_original(self):
+        """Unpickling rebuilds the net through ``__init__``, so its layers are
+        views of one parameter buffer again and Adam can step it."""
+        rng = np.random.default_rng(9)
+        net = DenseNet.create([3, 4, 2], ["tanh", "linear"], rng)
+        x = rng.standard_normal((5, 3))
+        out, cache = net.forward(x)
+        grads, _ = net.backward(cache, np.ones_like(out))
+        restored = pickle.loads(pickle.dumps(net))
+        for n in (net, restored):
+            n.adam_step(n.adam_state(), grads, lr=1e-2)
+        assert restored.forward(x)[0].tobytes() == net.forward(x)[0].tobytes()
