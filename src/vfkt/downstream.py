@@ -60,17 +60,6 @@ def stratified_split(labels: Array, params: DownstreamParams, seed):
     return train_idx, test_idx
 
 
-@dataclass
-class Classifier:
-    net: DenseNet
-    kind: str
-    num_classes: int
-
-    def predict(self, x: Array) -> Array:
-        logits, _ = self.net.forward(np.asarray(x, dtype=float))
-        return np.argmax(logits, axis=1)
-
-
 def _logit_grad(logits: Array, onehot: Array, out: Array) -> Array:
     """``(softmax_rows(logits) - onehot) / n`` into ``out``, bit for bit.
 
@@ -96,8 +85,9 @@ def _logit_grad(logits: Array, onehot: Array, out: Array) -> Array:
 
 def train_classifier(x: Array, y: Array, kind: str, seed,
                      num_classes: int | None = None, epochs: int | None = None,
-                     lr: float | None = None) -> Classifier:
+                     lr: float | None = None) -> DenseNet:
     """Softmax classifier trained with full-batch Adam; deterministic per seed.
+    Returns the network, whose outputs are the class logits.
 
     ``logistic`` is a single softmax layer; ``mlp`` adds two relu hidden
     layers of width 32. Labels must lie in ``[0, num_classes)``; without
@@ -136,17 +126,18 @@ def train_classifier(x: Array, y: Array, kind: str, seed,
         grads, _ = net.backward(cache, _logit_grad(logits, onehot, d_logits), ws,
                                 inputs=False)
         net.adam_step(adam, grads, lr)
-    return Classifier(net=net, kind=kind, num_classes=num_classes)
+    return net
 
 
-def evaluate(classifier: Classifier, x: Array, y: Array) -> float:
+def evaluate(net: DenseNet, x: Array, y: Array) -> float:
+    """Accuracy of the class with the largest logit."""
     labels = np.asarray(y, dtype=np.int64)
     x = np.asarray(x, dtype=float)
     if x.shape[0] == 0:
         raise ValueError("empty test set")
     if x.shape[0] != labels.shape[0]:
         raise ValueError("features and labels misaligned")
-    return float(np.mean(classifier.predict(x) == labels))
+    return float(np.mean(np.argmax(net.forward(x)[0], axis=1) == labels))
 
 
 @dataclass

@@ -147,6 +147,8 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "data_parties", tuple(self.data_parties))
+        if not self.data_parties:
+            raise DataError("a dataset needs at least one data party")
 
 
 def prepare_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -175,13 +177,13 @@ class PairRun:
     bus: MessageBus = field(default_factory=MessageBus)
 
 
-@dataclass
-class PipelineResult:
+@dataclass(frozen=True, kw_only=True)
+class PipelineResult(PairRun):
+    """One seed of one condition: its pair run, with the models as the
+    classifier read them, and the classifier's test accuracy."""
+
     accuracy: float
-    models: list
-    bus: MessageBus
     augmented_columns: int
-    flagged: int  # FRL local runs that did not settle, over all pairs
 
 
 def _train_pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, task: PartyState,
@@ -223,13 +225,13 @@ def _train_pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, task: PartySta
 def _pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, dataset: Dataset,
                  h_t_nl: FeatureMatrix, run_seed: int) -> PairRun:
     """``_train_pair_models`` over all of ``dataset``'s data parties, run once per
-    set of inputs that decide its result; later calls get copies of its models."""
+    set of inputs that decide its result. Every call gets the memo's run
+    itself: callers copy its models before they change them."""
     key = (cfg.frl, cfg.ol_columns, cfg.nl_columns, lkt_cfg, run_seed)
     if key not in dataset.pair_models:
         dataset.pair_models[key] = _train_pair_models(cfg, lkt_cfg, dataset.task,
                                                       dataset.data_parties, h_t_nl, run_seed)
-    run = dataset.pair_models[key]
-    return replace(run, models=[m.copy() for m in run.models])
+    return dataset.pair_models[key]
 
 
 def _non_overlap(cfg: ExperimentConfig, task: PartyState, parties: tuple[PartyState, ...]):
@@ -265,22 +267,24 @@ def run_pipeline_once(cfg: ExperimentConfig, condition: str, dataset: Dataset,
             lkt_cfg = replace(lkt_cfg, mi_weight=0.0,
                               beta_mi=0.0 if lkt_cfg.beta_mi is not None else None)
         run = _pair_models(cfg, lkt_cfg, dataset, h_t_nl, run_seed)
-        if condition != "ablation-no-cl" and run.models:
-            run = replace(run, models=lkt_mod.lkt_finetune_contrastive(
-                run.models, h_t_nl, lkt_cfg, seed=run_seed * 1000 + 999))
+        # each branch copies the shared run's models once, so the memo's stay as trained
+        if condition == "ablation-no-cl":
+            models = [m.copy() for m in run.models]
+        else:
+            models = lkt_mod.lkt_finetune_contrastive(run.models, h_t_nl, lkt_cfg,
+                                                      seed=run_seed * 1000 + 999)
+        run = replace(run, models=models)
         x = lkt_mod.augment(run.models, h_t_nl).matrix.values
 
     train_idx, test_idx = stratified_split(y_nl.labels, cfg.downstream, run_seed)
-    clf = train_classifier(x[train_idx], y_nl.labels[train_idx], cfg.downstream.model,
+    net = train_classifier(x[train_idx], y_nl.labels[train_idx], cfg.downstream.model,
                            seed=run_seed, num_classes=y_nl.num_classes,
                            epochs=cfg.downstream.epochs, lr=cfg.downstream.learning_rate)
-    acc = evaluate(clf, x[test_idx], y_nl.labels[test_idx])
-    return PipelineResult(accuracy=acc, models=run.models, bus=run.bus,
-                          augmented_columns=x.shape[1], flagged=run.flagged)
+    acc = evaluate(net, x[test_idx], y_nl.labels[test_idx])
+    return PipelineResult(accuracy=acc, augmented_columns=x.shape[1], **vars(run))
 
 
-def run_condition(cfg: ExperimentConfig, condition: str, dataset: Dataset | None = None,
-                  axis: str | None = None, value=None):
+def run_condition(cfg: ExperimentConfig, condition: str, dataset: Dataset | None = None):
     """All seeds of one condition. Returns (RunReport, results per seed)."""
     if condition not in CONDITIONS:
         raise ConfigError(f"unknown condition {condition!r}")
@@ -295,7 +299,7 @@ def run_condition(cfg: ExperimentConfig, condition: str, dataset: Dataset | None
             raise RuntimeError(f"pipeline failed (condition={condition}, seed={s}): {exc}") from exc
     report = RunReport(condition=condition, seeds=seeds,
                        accuracies=[r.accuracy for r in results],
-                       config_hash=cfg.config_hash, axis=axis, value=value)
+                       config_hash=cfg.config_hash)
     return report, results
 
 
@@ -312,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
         for s, r in zip(report.seeds, results):
             for rec in r.bus.trace:
                 trace_records.append({"condition": condition, "seed": s, **rec})
-        if condition != "local" and checkpoint_models is None and results[0].models:
+        if condition != "local" and checkpoint_models is None:
             checkpoint_models = results[0].models
     if out_dir is not None:
         out = Path(out_dir)
@@ -379,8 +383,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None):
         dataset = prepare_dataset(sub_cfg)
         t0 = time.perf_counter()
         for condition in cfg.conditions:
-            report, _ = run_condition(sub_cfg, condition, dataset, axis=axis, value=v)
-            reports.append(report)
+            report, _ = run_condition(sub_cfg, condition, dataset)
+            reports.append(replace(report, axis=axis, value=v))
         timings.append({"axis": axis, "value": v,
                         "wall_clock_s": time.perf_counter() - t0})
         if out_dir is not None:

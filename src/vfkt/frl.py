@@ -166,6 +166,17 @@ def fedsvd_recover(u_hat: Array, a_blocks: tuple[Array, ...]) -> Array:
     return out
 
 
+def _participants(task_id: str, party_matrices: dict[str, Array],
+                  overlap: OverlapIndex) -> list[str]:
+    """The protocol's party order, once the task party is among the parties
+    and every party matrix has one row per overlapping sample."""
+    if task_id not in party_matrices:
+        raise ProtocolError(f"task party {task_id!r} not among participants")
+    if any(m.shape[0] != overlap.size for m in party_matrices.values()):
+        raise ProtocolError("party matrices must have one row per overlapping sample")
+    return list(party_matrices)
+
+
 def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
                overlap: OverlapIndex, seed,
                params: FrlParams = FrlParams()) -> FederatedRepresentation:
@@ -175,13 +186,9 @@ def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
     party first. Message order between different parties' uploads is
     arbitrary; the server waits for all parts.
     """
-    if task_id not in party_matrices:
-        raise ProtocolError(f"task party {task_id!r} not among participants")
-    order = list(party_matrices.keys())
+    order = _participants(task_id, party_matrices, overlap)
     sizes = [party_matrices[p].shape[1] for p in order]
     n = overlap.size
-    if any(party_matrices[p].shape[0] != n for p in order):
-        raise ProtocolError("party matrices must have one row per overlapping sample")
 
     pairs = fedsvd_keygen(n, sizes, seed, block_size=params.block_size)
     for pid, pair in zip(order, pairs):
@@ -287,9 +294,7 @@ def run_vfedpca(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
     result counts the local runs, over all parties and rounds, that came back
     flagged; the flag stays with its party and is not uploaded.
     """
-    if task_id not in party_matrices:
-        raise ProtocolError(f"task party {task_id!r} not among participants")
-    order = list(party_matrices.keys())
+    order = _participants(task_id, party_matrices, overlap)
     n = overlap.size
     rng = np.random.default_rng(seed)
     init = rng.standard_normal(n)

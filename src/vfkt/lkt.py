@@ -137,14 +137,6 @@ def _column_standardize(m: Array) -> Array:
     return (m - mu) / sd
 
 
-def _attention_forward(query: Array, h_fed: Array, phi: Array, ws: dict | None = None):
-    if query.shape[1] != phi.shape[1] or h_fed.shape[1] != phi.shape[0]:
-        raise ValueError(
-            f"attention dimension mismatch: query {query.shape}, "
-            f"h_fed {h_fed.shape}, phi {phi.shape}")
-    return _attend(query, h_fed @ phi, ws)
-
-
 def _attend(query: Array, keys: Array, ws: dict | None = None):
     """Softmax readout of ``keys`` (m x d), which double as values.
 
@@ -189,9 +181,12 @@ def cross_attention(query: Array, h_fed: Array, phi: Array) -> Array:
 
     Each output row is a convex combination of the rows of ``h_fed @ phi``.
     """
-    z, _ = _attention_forward(np.asarray(query, float), np.asarray(h_fed, float),
-                              np.asarray(phi, float))
-    return z
+    query, h_fed, phi = (np.asarray(a, dtype=float) for a in (query, h_fed, phi))
+    if query.shape[1] != phi.shape[1] or h_fed.shape[1] != phi.shape[0]:
+        raise ValueError(
+            f"attention dimension mismatch: query {query.shape}, "
+            f"h_fed {h_fed.shape}, phi {phi.shape}")
+    return _attend(query, h_fed @ phi)[0]
 
 
 def mine_estimate(mine: DenseNet, p: Array, q: Array, rng) -> float:
@@ -314,7 +309,7 @@ def loss_and_grads(pair: TrainingPair, x_nl: Array, x_rec: Array, h_fed: Array, 
     n = x_nl.shape[0]
 
     e_nl, cache_nl = pair.enc.forward(x_nl)
-    z, attn_cache = _attention_forward(e_nl, h_fed, pair.phi, ws)
+    z, attn_cache = _attend(e_nl, h_fed @ pair.phi, ws)
 
     e_rec, cache_rec = pair.enc.forward(x_rec)
     recon, cache_dec = pair.dec.forward(e_rec)
@@ -352,7 +347,7 @@ def _mine_ascent(pair: TrainingPair, adam: AdamState, x_nl: Array, h_fed: Array,
     """Critic ascent step on the batch, after the pair's update: the
     encoder and attention forward passes are rerun with the new weights."""
     e_nl, _ = pair.enc.forward(x_nl)
-    z, _ = _attention_forward(e_nl, h_fed, pair.phi, ws)
+    z, _ = _attend(e_nl, h_fed @ pair.phi, ws)
     pair.mine.adam_step(adam, _critic_grads(pair.mine, _stack_pairs(e_nl, z, shift)), lr,
                         ascend=True)
 
@@ -505,7 +500,7 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
             n_batches += 1
         losses.append(ep_loss / max(n_batches, 1))
     for m in models:
-        m.history = {**m.history, "contrastive": losses}
+        m.history = {**m.history, "contrastive": list(losses)}
     return models
 
 
@@ -594,8 +589,9 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
 
 
 def load_models(path):
-    """Returns (models, config_hash); rejects mismatched schema widths,
-    non-finite keys and a temperature that is not finite and > 0."""
+    """Returns (models, config_hash); rejects, naming the model, a bad
+    encoder, mismatched schema widths, non-finite keys and a temperature
+    that is not finite and > 0."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -603,18 +599,20 @@ def load_models(path):
                          f"this build reads version {CHECKPOINT_VERSION}")
     models = []
     for md in doc["models"]:
-        enc = DenseNet.from_dict(md["enc"])
-        keys = np.asarray(md["keys"], dtype=float)
-        temperature = float(md["temperature"])
-        if enc.input_dim != len(md["nl_columns"]):
-            raise ValueError("checkpoint schema mismatch: encoder input width")
-        if keys.ndim != 2 or keys.shape[1] != enc.output_dim:
-            raise ValueError("checkpoint schema mismatch: latent width")
-        if not np.all(np.isfinite(keys)):
-            raise ValueError(f"checkpoint model {md['provenance']!r}: keys are not finite")
-        if not (np.isfinite(temperature) and temperature > 0):
-            raise ValueError(f"checkpoint model {md['provenance']!r}: temperature must be "
-                             f"finite and > 0, got {temperature}")
+        try:
+            enc = DenseNet.from_dict(md["enc"])
+            keys = np.asarray(md["keys"], dtype=float)
+            temperature = float(md["temperature"])
+            if enc.input_dim != len(md["nl_columns"]):
+                raise ValueError("schema mismatch: encoder input width")
+            if keys.ndim != 2 or keys.shape[1] != enc.output_dim:
+                raise ValueError("schema mismatch: latent width")
+            if not np.all(np.isfinite(keys)):
+                raise ValueError("keys are not finite")
+            if not (np.isfinite(temperature) and temperature > 0):
+                raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+        except ValueError as exc:
+            raise ValueError(f"checkpoint model {md['provenance']!r}: {exc}") from None
         models.append(LktModel(enc=enc, keys=keys, temperature=temperature,
                                provenance=md["provenance"], nl_columns=tuple(md["nl_columns"])))
     return models, doc["config_hash"]

@@ -97,7 +97,7 @@ class TestClassifier:
         x, y = _blobs(n_per_class=15)
         a = train_classifier(x, y, kind="logistic", seed=9, epochs=30)
         b = train_classifier(x, y, kind="logistic", seed=9, epochs=30)
-        np.testing.assert_array_equal(a.net.layers[0].w, b.net.layers[0].w)
+        np.testing.assert_array_equal(a.layers[0].w, b.layers[0].w)
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_label_outside_the_classes_rejected(self, bad):
@@ -146,7 +146,7 @@ class TestEpochKernel:
         labels = rng.permutation(np.arange(n) % c)
         clf = train_classifier(x, labels, kind, seed=7, num_classes=c, epochs=40)
         ref = _reference_classifier(x, labels, kind, seed=7, num_classes=c, epochs=40)
-        for got, want in zip(clf.net.layers, ref.layers):
+        for got, want in zip(clf.layers, ref.layers):
             assert got.w.tobytes() == want.w.tobytes()
             assert got.b.tobytes() == want.b.tobytes()
 

@@ -20,6 +20,7 @@ from vfkt.experiment import (
     ExperimentConfig,
     FrlParams,
     PairRun,
+    PipelineResult,
     add_data_hospital,
     from_dict,
     prepare_dataset,
@@ -488,6 +489,30 @@ class TestPairTrainingMemo:
         assert isinstance(built.data_parties, tuple)
         with pytest.raises(FrozenInstanceError):
             built.data_parties = ()
+
+    def test_a_dataset_needs_a_data_party(self):
+        # with none, every condition would fall back to the raw features
+        ds = prepare_dataset(self._cfg())
+        with pytest.raises(DataError, match="at least one data party"):
+            Dataset(task=ds.task, data_parties=())
+
+    def test_a_result_is_its_pair_run_and_the_classifier_s_figures(self):
+        own = {f.name for f in fields(PipelineResult)} - {f.name for f in fields(PairRun)}
+        assert issubclass(PipelineResult, PairRun)
+        assert own == {"accuracy", "augmented_columns"}
+
+    def test_each_pair_model_is_copied_once_per_seed(self, monkeypatch):
+        # the memo hands out its run itself: the fine-tune's copies, or the
+        # one copy ablation-no-cl makes, are the only ones
+        cfg = self._cfg()
+        ds = prepare_dataset(cfg)
+        copies = []
+        real_copy = lkt.LktModel.copy
+        monkeypatch.setattr(lkt.LktModel, "copy", lambda m: copies.append(m) or real_copy(m))
+        for condition in ("unitrans", "ablation-no-cl", "unitrans"):
+            copies.clear()
+            run_pipeline_once(cfg, condition, ds, run_seed=0)
+            assert len(copies) == len(ds.data_parties) == 2, condition
 
     def test_no_cl_after_unitrans_trains_nothing(self, monkeypatch):
         cfg = self._cfg()

@@ -305,6 +305,16 @@ class TestFedSvdProtocol:
         with pytest.raises(ProtocolError, match="one row per"):
             run_fedsvd(MessageBus(), "p0", parties, _overlap(19), seed=0)
 
+    def test_vfedpca_row_count_mismatch(self):
+        # a 9-row party in a 10-row overlap is caught before any local
+        # iteration, as run_fedsvd catches it
+        parties = _parties(n=10)
+        parties["p1"] = parties["p1"][:9]
+        bus = MessageBus()
+        with pytest.raises(ProtocolError, match="one row per"):
+            run_vfedpca(bus, "p0", parties, _overlap(10), seed=0)
+        assert not bus.trace
+
 
 class TestVFedPcaSteps:
     def test_sample_gram_shape_and_scale(self):

@@ -12,8 +12,8 @@ from vfkt.frl import FederatedRepresentation
 from vfkt.lkt import (
     LktConfig,
     LktModel,
+    _attend,
     _attention_backward,
-    _attention_forward,
     _column_standardize,
     _critic_grads,
     _stack_pairs,
@@ -82,7 +82,7 @@ def _trained_pairs(monkeypatch):
 
 
 def _attention_weights(query, h_fed, phi):
-    _, (_, _, e, inv, _) = _attention_forward(query, h_fed, phi)
+    _, (_, _, e, inv, _) = _attend(query, h_fed @ phi)
     return e * inv
 
 
@@ -139,7 +139,7 @@ class TestAttention:
         dz = rng.normal(size=(100, 5))
         keys = h_fed @ phi
         query *= score_max / (np.max(np.abs(query @ keys.T)) / np.sqrt(5))
-        z, cache = _attention_forward(query, h_fed, phi)
+        z, cache = _attend(query, h_fed @ phi)
         d_query, d_phi = _attention_backward(cache, dz, h_fed)
         z_ref, d_query_ref, d_keys_ref = _textbook_attention(query, keys, dz)
         for got, want in ((z, z_ref), (d_query, d_query_ref), (d_phi, h_fed.T @ d_keys_ref)):
@@ -431,6 +431,13 @@ class TestFinetune:
         lkt_finetune_contrastive(models, x, cfg, seed=0)
         np.testing.assert_array_equal(models[0].enc.layers[0].w, before)
 
+    def test_each_model_keeps_its_own_curve(self):
+        models, x, feds, cfg = self._trained_pair()
+        out = lkt_finetune_contrastive(models, x, cfg, seed=0)
+        assert out[0].history["contrastive"] == out[1].history["contrastive"]
+        out[0].history["contrastive"].append(1.0)
+        assert len(out[1].history["contrastive"]) == cfg.finetune_epochs
+
     def test_finetune_decreases_loss_and_redundancy_of_clones(self):
         # clone seeds -> identical encoders -> redundancy 1; fine-tuning
         # against different readout targets must separate them
@@ -651,9 +658,9 @@ class TestCheckpoints:
             load_models(path)
 
     @pytest.mark.parametrize("where, value, match", [
-        ((0, "activation"), "swish", "unknown activation 'swish'"),
-        ((1, "w", 0, 1), float("nan"), "weights are not finite"),
-        ((2, "b", 0), float("inf"), "weights are not finite"),
+        ((0, "activation"), "swish", "'pair-1': unknown activation 'swish'"),
+        ((1, "w", 0, 1), float("nan"), "'pair-1': network weights are not finite"),
+        ((2, "b", 0), float("inf"), "'pair-1': network weights are not finite"),
     ], ids=["activation", "nan-weight", "inf-bias"])
     def test_rejects_a_bad_encoder(self, tmp_path, where, value, match):
         import json
@@ -681,9 +688,9 @@ class TestCheckpoints:
         path = tmp_path / "models.json"
         save_models(path, self._models(), config_hash="h")
         doc = json.loads(path.read_text())
-        doc["models"][0]["nl_columns"] = ["a", "b", "c"]
+        doc["models"][1]["nl_columns"] = ["a", "b", "c"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="encoder input width"):
+        with pytest.raises(ValueError, match="'pair-1': schema mismatch: encoder input width"):
             load_models(path)
 
     def test_rejects_unknown_version(self, tmp_path):
