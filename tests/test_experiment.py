@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from vfkt import lkt
+from vfkt.bus import MessageBus
 from vfkt.cli import main
-from vfkt.data import DataError, PartyState, standardize
+from vfkt.data import DataError, OverlapIndex, PartyState, standardize
 from vfkt.experiment import (
     ConfigError,
     CsvSource,
@@ -30,6 +31,7 @@ from vfkt.experiment import (
     run_pipeline_once,
     sweep,
 )
+from vfkt.frl import run_frl
 from vfkt.lkt import LktConfig
 from vfkt.synthetic import SyntheticSpec, generate_synthetic
 
@@ -309,6 +311,25 @@ class TestExperimentConfig:
         text = json.dumps(cfg.to_dict(), sort_keys=True, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == json_sha256
         assert cfg.config_hash == config_hash
+
+    # sha256 of one run_frl trace per method, one json.dumps(rec,
+    # sort_keys=True) line per message, pinned so that a reordered message
+    # or a changed payload cannot silently change the protocol contract
+    @pytest.mark.parametrize("method, trace_sha256", [
+        ("fedsvd", "4350b127d535df9c4c9e66c2d58231e3e77cf04f1376d752a5dfe8042a7cadc1"),
+        ("vfedpca", "e45ecaf35d844991b9fa2c1ba6fc0f832289769a7d6cd5b5985baa426cdc7bca"),
+    ])
+    def test_protocol_trace_is_pinned(self, method, trace_sha256):
+        rng = np.random.default_rng(0)
+        overlap = OverlapIndex(overlapping_ids=tuple(f"s{i}" for i in range(6)),
+                               task_rows=np.arange(6), data_rows=np.arange(6))
+        parties = {"task": rng.normal(size=(6, 3)), "data-0": rng.normal(size=(6, 2)),
+                   "data-1": rng.normal(size=(6, 4))}
+        params = FrlParams(method=method, block_size=4, iter_num=5, period_num=2)
+        bus = MessageBus()
+        run_frl(bus, params, "task", parties, overlap, seed=3)
+        lines = "\n".join(json.dumps(rec, sort_keys=True) for rec in bus.trace)
+        assert hashlib.sha256(lines.encode()).hexdigest() == trace_sha256
 
     def test_lkt_section_is_frozen_and_hashable(self):
         cfg = _tiny_config()
