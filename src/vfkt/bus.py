@@ -1,23 +1,17 @@
-"""In-memory message bus for the party/server protocol simulation.
+"""Traced message bus for the party/server protocol simulation.
 
-Channels are ordered FIFO queues keyed by (sender, recipient). Every send
-is recorded in a trace as {from, to, kind, shape, checksum} -- never the
-payload itself -- so privacy properties (who saw what kind of message) can
-be asserted from the trace alone.
+Every send is recorded in a trace as {from, to, kind, shape, checksum} --
+never the payload itself -- so privacy properties (who saw what kind of
+message) can be asserted from the trace alone. ``send`` hands back the
+payload it traced, and the recipient works on that value.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-
-
-class ChannelEmpty(RuntimeError):
-    pass
 
 
 def _payload_fingerprint(payload: Any):
@@ -61,33 +55,18 @@ def _payload_fingerprint(payload: Any):
     return shape, h.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class BusMessage:
-    sender: str
-    recipient: str
-    kind: str
-    payload: Any
-
-
 class MessageBus:
-    """Ordered, reliable, in-memory point-to-point channels with tracing."""
+    """An in-memory trace of every message between parties and the server."""
 
     def __init__(self):
-        self._channels: dict[tuple[str, str], deque[BusMessage]] = {}
         self.trace: list[dict] = []
 
-    def send(self, sender: str, recipient: str, kind: str, payload: Any) -> None:
+    def send(self, sender: str, recipient: str, kind: str, payload: Any) -> Any:
+        """Trace one message and deliver it: the recipient uses the returned payload."""
         shape, checksum = _payload_fingerprint(payload)
-        msg = BusMessage(sender, recipient, kind, payload)
-        self._channels.setdefault((sender, recipient), deque()).append(msg)
         self.trace.append({"from": sender, "to": recipient, "kind": kind,
                            "shape": shape, "checksum": checksum})
-
-    def recv(self, sender: str, recipient: str) -> BusMessage:
-        chan = self._channels.get((sender, recipient))
-        if not chan:
-            raise ChannelEmpty(f"no message from {sender!r} to {recipient!r}")
-        return chan.popleft()
+        return payload
 
     def messages_to(self, recipient: str) -> list[dict]:
         return [r for r in self.trace if r["to"] == recipient]

@@ -1,8 +1,7 @@
 """Datasets, parties, and sample alignment.
 
 Value types here are immutable after construction: feature matrices freeze
-their numpy buffers so they can be shared between concurrently running
-protocol actors without copies.
+their numpy buffers so they can be shared between parties without copies.
 """
 
 from __future__ import annotations
@@ -278,6 +277,23 @@ class Standardization:
     constant_columns: tuple[str, ...]
 
 
+def standardize_columns(values: Array):
+    """Columns shifted to mean 0 and scaled to sample std 1.
+
+    A column whose std is at most 1e-15 * max(1, |mean|) counts as constant:
+    it maps to all-zeros and its std is reported as 1.0. Returns
+    (values, mean, std, constant), with ``constant`` a boolean mask.
+    """
+    values = np.asarray(values, dtype=float)
+    mean = values.mean(axis=0)
+    std = values.std(axis=0, ddof=1)
+    constant = std <= 1e-15 * np.maximum(1.0, np.abs(mean))
+    std = np.where(constant, 1.0, std)
+    out = (values - mean) / std
+    out[:, constant] = 0.0
+    return out, mean, std, constant
+
+
 def standardize(m: FeatureMatrix):
     """Column-wise standardization to mean 0, sample std 1.
 
@@ -286,15 +302,10 @@ def standardize(m: FeatureMatrix):
     """
     if m.n_rows < 2:
         raise DataError("standardize needs at least 2 rows")
-    mean = m.values.mean(axis=0)
-    std = m.values.std(axis=0, ddof=1)
-    constant = std <= 1e-15 * np.maximum(1.0, np.abs(mean))
-    safe_std = np.where(constant, 1.0, std)
-    vals = (m.values - mean) / safe_std
-    vals[:, constant] = 0.0
+    vals, mean, std, constant = standardize_columns(m.values)
     stats = Standardization(
         mean=_freeze(mean),
-        std=_freeze(safe_std),
+        std=_freeze(std),
         constant_columns=tuple(c for c, flag in zip(m.columns, constant) if flag),
     )
     return FeatureMatrix(ids=m.ids, columns=m.columns, values=vals), stats

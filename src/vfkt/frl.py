@@ -19,8 +19,9 @@ party:
     table through the aggregate direction.
 
 Pure per-step functions are exposed for testing; ``run_fedsvd`` /
-``run_vfedpca`` drive them as actors exchanging immutable messages, with
-their settings read from ``FrlParams``, the ``frl`` config section.
+``run_vfedpca`` drive them over the bus, each recipient working on the
+payload ``bus.send`` delivers, with their settings read from ``FrlParams``,
+the ``frl`` config section.
 """
 
 from __future__ import annotations
@@ -183,30 +184,22 @@ def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
     """Execute the masked-factorization protocol between parties, key generator, and server.
 
     ``party_matrices`` maps party id -> its overlap-rows feature block, task
-    party first. Message order between different parties' uploads is
-    arbitrary; the server waits for all parts.
+    party first; the parties upload in that order.
     """
     order = _participants(task_id, party_matrices, overlap)
     sizes = [party_matrices[p].shape[1] for p in order]
     n = overlap.size
 
     pairs = fedsvd_keygen(n, sizes, seed, block_size=params.block_size)
-    for pid, pair in zip(order, pairs):
-        bus.send("keygen", pid, "mask_keys", (*pair.a_blocks, pair.b_k))
+    keys = [bus.send("keygen", pid, "mask_keys", (*pair.a_blocks, pair.b_k))
+            for pid, pair in zip(order, pairs)]
 
     # Each party masks locally and uploads; the server sees only masked blocks.
-    for pid in order:
-        msg = bus.recv("keygen", pid)
-        *a_blocks, b_k = msg.payload
-        masked = fedsvd_mask(party_matrices[pid], MaskPair(a_blocks=tuple(a_blocks), b_k=b_k))
-        bus.send(pid, "server", "masked_part", masked)
-
-    parts = [bus.recv(pid, "server").payload for pid in order]
-    u_hat = fedsvd_server(parts)
-    bus.send("server", task_id, "factor_u", u_hat)
-
-    u_hat = bus.recv("server", task_id).payload
-    h_fed = fedsvd_recover(u_hat, pairs[order.index(task_id)].a_blocks)
+    parts = [bus.send(pid, "server", "masked_part",
+                      fedsvd_mask(party_matrices[pid], MaskPair(a_blocks=k[:-1], b_k=k[-1])))
+             for pid, k in zip(order, keys)]
+    u_hat = bus.send("server", task_id, "factor_u", fedsvd_server(parts))
+    h_fed = fedsvd_recover(u_hat, keys[order.index(task_id)][:-1])
     return FederatedRepresentation(matrix=h_fed[:, :params.rank], method="fedsvd", overlap=overlap)
 
 
@@ -308,19 +301,16 @@ def run_vfedpca(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
     u = None
     flagged = 0
     for it in rounds:
-        shares = {}
+        shares = []
         for pid in order:
             share = vfedpca_local(party_matrices[pid], it, current_init)
             flagged += share.flagged
-            bus.send(pid, "server", "eigen_share", (share.vector, np.asarray([share.value])))
+            vec, val = bus.send(pid, "server", "eigen_share",
+                                (share.vector, np.asarray([share.value])))
+            shares.append(EigenShare(vector=vec, value=float(val[0])))
+        u = vfedpca_aggregate(shares)
         for pid in order:
-            vec, val = bus.recv(pid, "server").payload
-            shares[pid] = EigenShare(vector=vec, value=float(val[0]))
-        u = vfedpca_aggregate([shares[p] for p in order])
-        for pid in order:
-            bus.send("server", pid, "aggregate_vector", u)
-        for pid in order:
-            u = bus.recv("server", pid).payload
+            u = bus.send("server", pid, "aggregate_vector", u)
         nrm = np.linalg.norm(u)
         current_init = u / nrm if nrm > 0 else init
 
@@ -334,6 +324,5 @@ def run_frl(bus: MessageBus, params: FrlParams, task_id: str,
             seed) -> FederatedRepresentation:
     """Run the protocol ``params.method`` names, after a begin marker from the task party."""
     bus.send(task_id, "server", "frl_begin", params.method)
-    bus.recv(task_id, "server")
     run = run_fedsvd if params.method == "fedsvd" else run_vfedpca
     return run(bus, task_id, party_matrices, overlap, seed, params)

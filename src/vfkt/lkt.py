@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ConfigError, FeatureMatrix
+from .data import ConfigError, FeatureMatrix, standardize_columns
 from .frl import FederatedRepresentation
 from .numerics import ACTIVATIONS, AdamState, Array, DenseNet, _buf, logmeanexp, softmax_rows
 
@@ -127,15 +127,6 @@ class AugmentedFeatures:
 # ---------------------------------------------------------------------------
 # Attention and MI estimation
 # ---------------------------------------------------------------------------
-
-def _column_standardize(m: Array) -> Array:
-    """Zero-mean, unit-variance columns; constant columns are left at zero."""
-    m = np.asarray(m, dtype=float)
-    mu = m.mean(axis=0)
-    sd = m.std(axis=0, ddof=1)
-    sd = np.where(sd < 1e-12, 1.0, sd)
-    return (m - mu) / sd
-
 
 def _attend(query: Array, keys: Array, ws: dict | None = None):
     """Softmax readout of ``keys`` (m x d), which double as values.
@@ -373,7 +364,7 @@ def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
     x_nl = h_t_nl.values
     # Factorization outputs have orthonormal columns (entries ~ 1/sqrt(n)),
     # which would flatten the attention softmax; rescale to unit variance.
-    fed = _column_standardize(h_fed.matrix)
+    fed = standardize_columns(h_fed.matrix)[0]
     pair = build_model(h_t_nl.n_cols, rec.n_cols, fed.shape[1], config, seed,
                        provenance, h_t_nl.columns, rec.columns)
     enc_adam, dec_adam, mine_adam = (net.adam_state() for net in (pair.enc, pair.dec, pair.mine))
@@ -534,14 +525,17 @@ def encoder_redundancy(models: list[LktModel], h_t_nl: FeatureMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 def augment(models: list[LktModel], h_t_nl: FeatureMatrix) -> AugmentedFeatures:
-    """Concatenate raw features with each pair encoder's output, in order."""
+    """Concatenate raw features with each pair encoder's output, in order.
+
+    ``h_t_nl`` must carry exactly each model's ``nl_columns``, which also
+    fixes its width to the encoder's input width."""
     blocks = [h_t_nl.values]
     columns = list(h_t_nl.columns)
     for m in models:
-        if m.enc.input_dim != h_t_nl.n_cols:
+        if h_t_nl.columns != m.nl_columns:
             raise ValueError(
-                f"encoder {m.provenance!r} expects {m.enc.input_dim} columns, "
-                f"got {h_t_nl.n_cols}")
+                f"schema mismatch for {m.provenance!r}: expected columns "
+                f"{list(m.nl_columns)}, got {list(h_t_nl.columns)}")
         out, _ = m.enc.forward(h_t_nl.values)
         blocks.append(out)
         columns.extend(f"{m.provenance}:z{j}" for j in range(out.shape[1]))
@@ -553,14 +547,9 @@ def augment(models: list[LktModel], h_t_nl: FeatureMatrix) -> AugmentedFeatures:
 def apply_to_new_samples(models: list[LktModel], x_new: FeatureMatrix) -> AugmentedFeatures:
     """Augment unseen rows with the already-trained encoders.
 
-    Purely local: no retraining, no protocol messages. The new table must
-    carry exactly the training non-overlap schema.
+    Purely local: no retraining, no protocol messages. ``augment`` checks
+    that the new table carries exactly the training non-overlap schema.
     """
-    for m in models:
-        if x_new.columns != m.nl_columns:
-            raise ValueError(
-                f"schema mismatch for {m.provenance!r}: expected columns "
-                f"{list(m.nl_columns)}, got {list(x_new.columns)}")
     return augment(models, x_new)
 
 

@@ -36,12 +36,6 @@ class SvdResult:
     v: Array
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def svd(m: Array) -> SvdResult:
     """Thin SVD of a dense matrix, computed by LAPACK through ``numpy.linalg.svd``.
 
@@ -76,7 +70,7 @@ def random_orthogonal(n: int, seed) -> Array:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    q, r = np.linalg.qr(_rng(seed).standard_normal((n, n)))
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0
     return q * d
@@ -93,7 +87,7 @@ def haar_blocks(n: int, seed, block_size: int) -> list[Array]:
         raise ValueError("n must be >= 1")
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return [random_orthogonal(min(block_size, n - start), rng)
             for start in range(0, n, block_size)]
 
@@ -287,7 +281,7 @@ class DenseNet:
     def create(cls, sizes: list[int], activations: list[str], rng) -> "DenseNet":
         if len(sizes) < 2 or len(activations) != len(sizes) - 1:
             raise ValueError("sizes/activations mismatch")
-        rng = _rng(rng)
+        rng = np.random.default_rng(rng)
         layers = []
         for fan_in, fan_out, act in zip(sizes, sizes[1:], activations):
             scale = np.sqrt(2.0 / (fan_in + fan_out))

@@ -14,6 +14,7 @@ from vfkt.data import (
     load_csv,
     psi_intersect,
     standardize,
+    standardize_columns,
     write_csv,
 )
 from vfkt.synthetic import SyntheticSpec
@@ -331,6 +332,19 @@ class TestStandardize:
         np.testing.assert_array_equal(z.values[:, 0], 0.0)
         assert stats.constant_columns == ("k",)
         assert stats.std[0] == 1.0
+
+    def test_an_inexact_constant_column_is_zeroed(self):
+        # three 0.1s average to 0.1 plus an ulp, so the shift alone leaves
+        # -1.4e-17 in each row; the constant rule makes them exact zeros
+        vals = np.column_stack([np.full(3, 0.1), [1.0, 2.0, 4.0]])
+        out, mean, std, constant = standardize_columns(vals)
+        np.testing.assert_array_equal(out[:, 0], 0.0)
+        assert constant.tolist() == [True, False]
+        assert std[0] == 1.0
+        z, stats = standardize(FeatureMatrix(ids=("a", "b", "c"), columns=("k", "x"),
+                                             values=vals))
+        np.testing.assert_array_equal(z.values, out)
+        np.testing.assert_array_equal(stats.mean, mean)
 
     def test_too_few_rows(self):
         with pytest.raises(DataError, match="at least 2 rows"):

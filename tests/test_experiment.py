@@ -12,7 +12,8 @@ import pytest
 from vfkt import lkt
 from vfkt.bus import MessageBus
 from vfkt.cli import main
-from vfkt.data import DataError, OverlapIndex, PartyState, standardize
+from vfkt.data import (DataError, FeatureMatrix, OverlapIndex, PartyState, standardize,
+                       standardize_columns)
 from vfkt.experiment import (
     ConfigError,
     CsvSource,
@@ -388,6 +389,18 @@ class TestPipeline:
         assert ExperimentConfig.from_dict(
             json.loads((out / "config.json").read_text())) == cfg
 
+    def test_a_diverging_pair_names_its_condition_and_seed(self):
+        cfg = _tiny_config(lkt=replace(_tiny_config().lkt, reconstruction_source="local"))
+        ds = prepare_dataset(cfg)
+        f = ds.task.features
+        big = FeatureMatrix(ids=f.ids, columns=f.columns, values=1e200 * f.values)
+        ds = Dataset(task=replace(ds.task, features=big), data_parties=ds.data_parties)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError) as exc:
+            run_condition(cfg, "unitrans", ds)
+        assert str(exc.value).startswith(
+            "pipeline failed (condition=unitrans, seed=0): training diverged")
+        assert isinstance(exc.value.__cause__, lkt.LktDivergenceError)
+
     def test_local_condition_sends_no_messages(self, tmp_path):
         out = tmp_path / "run"
         run_experiment(_tiny_config(), out_dir=out)
@@ -650,7 +663,7 @@ class TestAddDataHospital:
         assert len(trained) == len(pairs) == 1
         new = models[-1]
         np.testing.assert_array_equal(new.keys,
-                                      lkt._column_standardize(trained[0]) @ pairs[0].phi)
+                                      standardize_columns(trained[0])[0] @ pairs[0].phi)
 
     def test_existing_hospitals_stay_offline(self, tmp_path):
         # the update reads only the ids of the existing data parties: any

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vfkt.bus import ChannelEmpty, MessageBus
+from vfkt.bus import MessageBus
 from vfkt.data import ConfigError, OverlapIndex
 from vfkt.frl import (
     MASK_BLOCK,
@@ -60,17 +60,12 @@ def _align_columns(u, ref):
 
 
 class TestBus:
-    def test_fifo_per_channel(self):
+    def test_send_delivers_the_payload(self):
         bus = MessageBus()
-        bus.send("a", "b", "k", 1)
-        bus.send("a", "b", "k", 2)
-        assert bus.recv("a", "b").payload == 1
-        assert bus.recv("a", "b").payload == 2
-
-    def test_empty_channel(self):
-        bus = MessageBus()
-        with pytest.raises(ChannelEmpty):
-            bus.recv("a", "b")
+        payload = (np.ones(2), np.zeros((1, 3)))
+        assert bus.send("a", "b", "k", payload) is payload
+        assert bus.send("a", "b", "k", "fedsvd") == "fedsvd"
+        assert [(r["from"], r["to"], r["kind"]) for r in bus.trace] == [("a", "b", "k")] * 2
 
     def test_trace_fingerprint_only(self):
         bus = MessageBus()
@@ -93,8 +88,6 @@ class TestBus:
         with pytest.raises(TypeError, match="flat tuple/list of arrays"):
             bus.send("a", "b", "blob", payload)
         assert bus.trace == []
-        with pytest.raises(ChannelEmpty):
-            bus.recv("a", "b")
 
     def test_flat_array_tuple_and_array_free_payloads_are_traced(self):
         bus = MessageBus()

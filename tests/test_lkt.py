@@ -1,20 +1,21 @@
 """Tests for pair-model training, attention, MI estimation, fine-tuning,
 augmentation, and checkpoints."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from vfkt import lkt
-from vfkt.data import FeatureMatrix, OverlapIndex, standardize
+from vfkt.data import FeatureMatrix, OverlapIndex, standardize, standardize_columns
 from vfkt.frl import FederatedRepresentation
 from vfkt.lkt import (
     LktConfig,
+    LktDivergenceError,
     LktModel,
     _attend,
     _attention_backward,
-    _column_standardize,
     _critic_grads,
     _stack_pairs,
     apply_to_new_samples,
@@ -350,6 +351,20 @@ class TestLktTrain:
         np.testing.assert_array_equal(m1.enc.layers[0].w, m2.enc.layers[0].w)
         assert m1.history == m2.history
 
+    def test_a_diverging_loss_is_an_error(self):
+        # with float errors ignored, the overflow reaches the finite-loss
+        # check instead of surfacing first as a RuntimeWarning
+        rng = np.random.default_rng(2)
+        x = _feature_matrix(1e200 * rng.normal(size=(30, 4)))
+        h_ol = _feature_matrix(rng.normal(size=(10, 4)), prefix="o")
+        fed = _fed(rng.normal(size=(10, 3)))
+        cfg = LktConfig(latent_dim=2, epochs=2, hidden_width=4, mine_hidden=(4, 4),
+                        reconstruction_source="local")
+        with np.errstate(all="ignore"), pytest.raises(LktDivergenceError) as exc:
+            lkt_train(h_ol, x, fed, cfg, seed=7)
+        assert str(exc.value) == "training diverged (loss not finite) at epoch 0, seed 7"
+        assert (exc.value.seed, exc.value.epoch) == (7, 0)
+
 
 class TestConfig:
     def test_single_weight_mode(self):
@@ -453,7 +468,7 @@ class TestFinetune:
         models, x, feds, cfg = self._trained_pair()
         for m, f, pair in zip(models, feds, pairs, strict=True):
             assert m.enc is pair.enc
-            np.testing.assert_array_equal(m.keys, _column_standardize(f.matrix) @ pair.phi)
+            np.testing.assert_array_equal(m.keys, standardize_columns(f.matrix)[0] @ pair.phi)
         with pytest.raises(TypeError, match="keys"):
             LktModel(enc=models[0].enc, temperature=0.5, provenance="p",
                      nl_columns=x.columns)
@@ -517,7 +532,9 @@ class TestAugment:
     def test_width_mismatch(self):
         models, _ = self._models()
         bad = _feature_matrix(np.ones((3, 5)))
-        with pytest.raises(ValueError, match="expects 4 columns"):
+        with pytest.raises(ValueError, match=re.escape(
+                "schema mismatch for 'pair-0': expected columns ['x0', 'x1', 'x2', 'x3'], "
+                "got ['x0', 'x1', 'x2', 'x3', 'x4']")):
             augment(models, bad)
 
     def test_new_samples_schema_checked(self):
