@@ -67,6 +67,11 @@ class ExperimentConfig:
         # an empty column split means no split, and serializes as null
         for name in ("ol_columns", "nl_columns"):
             object.__setattr__(self, name, tuple(getattr(self, name) or ()) or None)
+        if (self.lkt.reconstruction_source == "overlap" and self.ol_columns and self.nl_columns
+                and self.ol_columns != self.nl_columns):
+            raise ConfigError("lkt.reconstruction_source 'overlap' needs matching column "
+                              f"schemas, got ol_columns {list(self.ol_columns)} and "
+                              f"nl_columns {list(self.nl_columns)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -264,8 +269,7 @@ def run_pipeline_once(cfg: ExperimentConfig, condition: str, dataset: Dataset,
     if condition != "local":
         lkt_cfg = cfg.lkt
         if condition == "ablation-no-mi":
-            lkt_cfg = replace(lkt_cfg, mi_weight=0.0,
-                              beta_mi=0.0 if lkt_cfg.beta_mi is not None else None)
+            lkt_cfg = replace(lkt_cfg, mi_weight=0.0)
         run = _pair_models(cfg, lkt_cfg, dataset, h_t_nl, run_seed)
         # each branch copies the shared run's models once, so the memo's stay as trained
         if condition == "ablation-no-cl":

@@ -3,15 +3,15 @@
 Two protocols produce the shared-sample latent matrix held by the task
 party:
 
-  * a masked-factorization protocol: a key generator hands each party the
-    same row mask A and a party-specific column-mask slice B_k; parties
-    upload A H_k B_k; the server factorizes their sum A [H_1 ... H_P] B
-    and returns only the left factor, which the task party unmasks with
-    A^T. A is block-diagonal, with Haar blocks of at most ``MASK_BLOCK``
-    rows; it is shipped as its blocks and applied block by block, so
-    keygen costs O(|I_ol| b^2), the keys carry |I_ol| b floats, and no
-    |I_ol| x |I_ol| array is ever formed. An overlap of at most
-    ``MASK_BLOCK`` rows gets a single dense Haar block;
+  * a masked-factorization protocol: a key generator hands each party its
+    mask keys, the same row mask A and a party-specific column-mask slice
+    B_k; parties upload A H_k B_k; the server factorizes their sum
+    A [H_1 ... H_P] B and returns only the left factor, which the task
+    party unmasks with A^T. A is block-diagonal, with Haar blocks of at
+    most ``MASK_BLOCK`` rows; it is shipped as its blocks and applied block
+    by block, so keygen costs O(|I_ol| b^2), the keys carry |I_ol| b
+    floats, and no |I_ol| x |I_ol| array is ever formed. An overlap of at
+    most ``MASK_BLOCK`` rows gets a single dense Haar block;
   * an eigenvector-aggregation protocol: each party power-iterates its
     local sample-space Gram matrix, applied through its own |I_ol| x f_k
     block and never formed; the server aggregates eigenvector shares
@@ -43,8 +43,7 @@ class FrlParams:
     method: str = "fedsvd"  # fedsvd | vfedpca
     block_size: int | None = None  # fedsvd row-mask block rows; None -> MASK_BLOCK
     iter_num: int = 100  # vfedpca local iterations in all
-    period_num: int = 10  # vfedpca local iterations per round, with warm_start
-    warm_start: bool = True
+    period_num: int = 10  # vfedpca local iterations per round; >= iter_num: one round
     rank: int | None = None  # fedsvd columns kept; None keeps all
 
     def __post_init__(self):
@@ -62,14 +61,6 @@ class FrlParams:
 
 class ProtocolError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class MaskPair:
-    """Row mask shared by all parties plus one party's slice of the column mask."""
-
-    a_blocks: tuple[Array, ...]  # diagonal blocks of the orthogonal row mask A, in row order
-    b_k: Array  # (|X_k| x |X_fed|)
 
 
 @dataclass(frozen=True)
@@ -98,14 +89,16 @@ class FederatedRepresentation:
 # ---------------------------------------------------------------------------
 
 def fedsvd_keygen(overlap_size: int, feature_sizes: list[int], seed,
-                  block_size: int | None = None) -> list[MaskPair]:
-    """Generate the shared row mask and per-party column-mask slices.
+                  block_size: int | None = None) -> list[tuple[Array, ...]]:
+    """Generate each party's mask keys, the tuple that crosses the bus.
 
-    Each party receives the same blocks of A, of at most ``block_size``
-    rows (``MASK_BLOCK`` when None), and the rows of B corresponding to its
-    feature block; stacking all slices vertically reconstructs B. B is one
-    dense Haar draw of sum(feature_sizes) rows, made after A's blocks from
-    the same generator; ``block_size`` shapes A only.
+    Party k's keys are ``(*a_blocks, b_k)``: the diagonal blocks of the row
+    mask A, in row order and of at most ``block_size`` rows (``MASK_BLOCK``
+    when None), shared by all parties, then the rows B_k (|X_k| x |X_fed|)
+    of the column mask B that match its feature block; stacking all slices
+    vertically reconstructs B. B is one dense Haar draw of
+    sum(feature_sizes) rows, made after A's blocks from the same generator;
+    ``block_size`` shapes A only.
     """
     if overlap_size < 1:
         raise ProtocolError("overlap_size must be >= 1")
@@ -115,12 +108,8 @@ def fedsvd_keygen(overlap_size: int, feature_sizes: list[int], seed,
     total = sum(feature_sizes)
     a_blocks = tuple(haar_blocks(overlap_size, rng, block_size or MASK_BLOCK))
     b = random_orthogonal(total, rng)
-    pairs = []
-    start = 0
-    for f in feature_sizes:
-        pairs.append(MaskPair(a_blocks=a_blocks, b_k=b[start:start + f, :]))
-        start += f
-    return pairs
+    starts = np.cumsum([0, *feature_sizes])
+    return [(*a_blocks, b[start:stop, :]) for start, stop in zip(starts[:-1], starts[1:])]
 
 
 def _row_blocks(a_blocks: tuple[Array, ...], n: int):
@@ -136,15 +125,17 @@ def _row_blocks(a_blocks: tuple[Array, ...], n: int):
     return spans
 
 
-def fedsvd_mask(h_k: Array, masks: MaskPair) -> Array:
-    """A @ H_k @ B_k, one block of A at a time: the only view of party data
-    that ever leaves the party."""
+def fedsvd_mask(h_k: Array, keys: tuple[Array, ...]) -> Array:
+    """A @ H_k @ B_k with the party's mask keys ``(*a_blocks, b_k)``, one
+    block of A at a time: the only view of party data that ever leaves the
+    party."""
     h_k = np.asarray(h_k, dtype=float)
-    if h_k.shape[1] != masks.b_k.shape[0]:
-        raise ProtocolError(f"mask dimension mismatch: H {h_k.shape}, B_k {masks.b_k.shape}")
-    out = np.empty((h_k.shape[0], masks.b_k.shape[1]))
-    for start, stop, block in _row_blocks(masks.a_blocks, h_k.shape[0]):
-        out[start:stop] = block @ h_k[start:stop] @ masks.b_k
+    a_blocks, b_k = keys[:-1], keys[-1]
+    if h_k.shape[1] != b_k.shape[0]:
+        raise ProtocolError(f"mask dimension mismatch: H {h_k.shape}, B_k {b_k.shape}")
+    out = np.empty((h_k.shape[0], b_k.shape[1]))
+    for start, stop, block in _row_blocks(a_blocks, h_k.shape[0]):
+        out[start:stop] = block @ h_k[start:stop] @ b_k
     return out
 
 
@@ -158,11 +149,11 @@ def fedsvd_server(masked_parts: list[Array]) -> Array:
     return svd(sum(masked_parts)).u
 
 
-def fedsvd_recover(u_hat: Array, a_blocks: tuple[Array, ...]) -> Array:
-    """Unmask the left factor: the row mask commutes out as A^T, applied
-    one block at a time."""
+def fedsvd_recover(u_hat: Array, keys: tuple[Array, ...]) -> Array:
+    """Unmask the left factor with the task party's mask keys: the row mask
+    commutes out as A^T, applied one block at a time."""
     out = np.empty(u_hat.shape)
-    for start, stop, block in _row_blocks(a_blocks, u_hat.shape[0]):
+    for start, stop, block in _row_blocks(keys[:-1], u_hat.shape[0]):
         out[start:stop] = block.T @ u_hat[start:stop]
     return out
 
@@ -190,16 +181,14 @@ def run_fedsvd(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
     sizes = [party_matrices[p].shape[1] for p in order]
     n = overlap.size
 
-    pairs = fedsvd_keygen(n, sizes, seed, block_size=params.block_size)
-    keys = [bus.send("keygen", pid, "mask_keys", (*pair.a_blocks, pair.b_k))
-            for pid, pair in zip(order, pairs)]
+    keys = [bus.send("keygen", pid, "mask_keys", k)
+            for pid, k in zip(order, fedsvd_keygen(n, sizes, seed, params.block_size))]
 
     # Each party masks locally and uploads; the server sees only masked blocks.
-    parts = [bus.send(pid, "server", "masked_part",
-                      fedsvd_mask(party_matrices[pid], MaskPair(a_blocks=k[:-1], b_k=k[-1])))
+    parts = [bus.send(pid, "server", "masked_part", fedsvd_mask(party_matrices[pid], k))
              for pid, k in zip(order, keys)]
     u_hat = bus.send("server", task_id, "factor_u", fedsvd_server(parts))
-    h_fed = fedsvd_recover(u_hat, keys[order.index(task_id)][:-1])
+    h_fed = fedsvd_recover(u_hat, keys[order.index(task_id)])
     return FederatedRepresentation(matrix=h_fed[:, :params.rank], method="fedsvd", overlap=overlap)
 
 
@@ -281,9 +270,10 @@ def run_vfedpca(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
                 params: FrlParams = FrlParams()) -> FederatedRepresentation:
     """Execute the eigenvector-aggregation protocol.
 
-    With ``params.warm_start`` on, parties re-sync their iteration vector from
-    the current aggregate every ``period_num`` local iterations; otherwise all
-    ``iter_num`` iterations run locally and shares are uploaded once. The
+    The ``iter_num`` local iterations run in rounds of ``period_num``; after
+    each round parties upload their shares and re-sync their iteration vector
+    from the aggregate. With ``period_num >= iter_num`` there is one round,
+    and shares are uploaded once. The
     result counts the local runs, over all parties and rounds, that came back
     flagged; the flag stays with its party and is not uploaded.
     """
@@ -294,8 +284,7 @@ def run_vfedpca(bus: MessageBus, task_id: str, party_matrices: dict[str, Array],
     init /= np.linalg.norm(init)
 
     total, period = params.iter_num, params.period_num
-    rounds = ([min(period, total - d) for d in range(0, total, period)]
-              if params.warm_start else [total])
+    rounds = [min(period, total - d) for d in range(0, total, period)]
 
     current_init = init
     u = None

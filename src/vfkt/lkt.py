@@ -37,9 +37,7 @@ class LktDivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class LktConfig:
     latent_dim: int | None = None  # None -> width of the non-overlap table
-    mi_weight: float = 0.1  # single-weight mode: loss = recons - mi_weight * mi
-    beta_recons: float | None = None  # optional per-term weights; both must be set
-    beta_mi: float | None = None
+    mi_weight: float = 0.1  # loss = recons - mi_weight * mi
     temperature: float = 0.5
     learning_rate: float = 1e-3
     batch_size: int = 100
@@ -53,8 +51,6 @@ class LktConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mine_hidden", tuple(self.mine_hidden))
-        if (self.beta_recons is None) != (self.beta_mi is None):
-            raise ConfigError("beta_recons and beta_mi must be set together")
         if self.reconstruction_source not in ("auto", "overlap", "local"):
             raise ConfigError(f"unknown reconstruction_source {self.reconstruction_source!r}")
         if self.mine_activation not in ACTIVATIONS:
@@ -68,17 +64,10 @@ class LktConfig:
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        for name in ("mi_weight", "beta_recons", "beta_mi"):
-            w = getattr(self, name)
-            if w is not None and not (np.isfinite(w) and w >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {w}")
+        if not (np.isfinite(self.mi_weight) and self.mi_weight >= 0):
+            raise ConfigError(f"mi_weight must be finite and >= 0, got {self.mi_weight}")
         if any(w < 1 for w in self.mine_hidden):
             raise ConfigError("mine_hidden widths must be >= 1")
-
-    def loss_weights(self) -> tuple[float, float]:
-        if self.beta_recons is not None:
-            return float(self.beta_recons), float(self.beta_mi)
-        return 1.0, float(self.mi_weight)
 
 
 @dataclass
@@ -90,7 +79,7 @@ class TrainingPair:
     dec: DenseNet
     phi: Array  # (|X_fed| x d)
     mine: DenseNet
-    weights: tuple[float, float]  # (recons weight, mi weight)
+    mi_weight: float
     temperature: float
 
 
@@ -280,7 +269,7 @@ def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed,
     dec = DenseNet.create([d, h, h, n_rec], ["sigmoid", "sigmoid", "linear"], rng)
     mine = _critic(2 * d, config, rng)
     phi = rng.standard_normal((n_fed, d)) / np.sqrt(n_fed)
-    return TrainingPair(enc=enc, dec=dec, phi=phi, mine=mine, weights=config.loss_weights(),
+    return TrainingPair(enc=enc, dec=dec, phi=phi, mine=mine, mi_weight=float(config.mi_weight),
                         temperature=config.temperature)
 
 
@@ -295,7 +284,6 @@ def loss_and_grads(pair: TrainingPair, x_nl: Array, x_rec: Array, h_fed: Array, 
     buffers from one call to the next (see ``_attend``); the results are
     the same without it.
     """
-    b0, b1 = pair.weights
     d = pair.enc.output_dim
     n = x_nl.shape[0]
 
@@ -309,15 +297,15 @@ def loss_and_grads(pair: TrainingPair, x_nl: Array, x_rec: Array, h_fed: Array, 
     t, cache_c = pair.mine.forward(_stack_pairs(e_nl, z, shift))
     l_mi = _dv_bound(t, n)
 
-    loss = b0 * l_rec - b1 * l_mi
+    loss = l_rec - pair.mi_weight * l_mi
 
     # reconstruction branch
-    d_recon = b0 * 2.0 * (recon - x_rec) / recon.size
+    d_recon = 2.0 * (recon - x_rec) / recon.size
     dec_grads, d_e_rec = pair.dec.backward(cache_dec, d_recon)
     enc_grads_rec, _ = pair.enc.backward(cache_rec, d_e_rec, inputs=False)
 
-    # MI branch (critic fixed): d(loss)/dT = -b1 * d(bound)/dT
-    _, d_c = pair.mine.backward(cache_c, -b1 * _dv_upstream(t, n), params=False)
+    # MI branch (critic fixed): d(loss)/dT = -mi_weight * d(bound)/dT
+    _, d_c = pair.mine.backward(cache_c, -pair.mi_weight * _dv_upstream(t, n), params=False)
     d_p = d_c[:n, :d] + d_c[n:, :d]
     # the marginal rows' q gradient, rolled back by -shift (see _stack_pairs)
     d_z = d_c[:n, d:].copy()
@@ -355,9 +343,10 @@ def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
     """Train one pair model: alternating descent on the transfer loss and
     ascent of the MI critic, one critic step per model step per batch."""
     source = config.reconstruction_source
+    same_schema = h_t_ol.columns == h_t_nl.columns
     if source == "auto":
-        source = "overlap" if h_t_ol.n_cols == h_t_nl.n_cols else "local"
-    if source == "overlap" and h_t_ol.n_cols != h_t_nl.n_cols:
+        source = "overlap" if same_schema else "local"
+    if source == "overlap" and not same_schema:
         raise ValueError("overlap reconstruction needs matching column schemas")
     rec = h_t_ol if source == "overlap" else h_t_nl  # the rows the decoder rebuilds
 
@@ -578,17 +567,24 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
 
 
 def load_models(path):
-    """Returns (models, config_hash); rejects, naming the model, a bad
-    encoder, mismatched schema widths, non-finite keys and a temperature
-    that is not finite and > 0."""
+    """Returns (models, config_hash); rejects, naming the model by its index
+    and its provenance, a missing or unknown key, a bad encoder, mismatched
+    schema widths, non-finite keys and a temperature that is not finite and
+    > 0."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}; "
                          f"this build reads version {CHECKPOINT_VERSION}")
+    entry_keys = {"enc", "keys", "temperature", "provenance", "nl_columns"}
     models = []
-    for md in doc["models"]:
+    for i, md in enumerate(doc["models"]):
+        name = f"{i} {md['provenance']!r}" if "provenance" in md else f"{i}"
         try:
+            for what, names in (("missing", entry_keys - md.keys()),
+                                ("unknown", md.keys() - entry_keys)):
+                if names:
+                    raise ValueError(f"{what} key(s) {sorted(names)}")
             enc = DenseNet.from_dict(md["enc"])
             keys = np.asarray(md["keys"], dtype=float)
             temperature = float(md["temperature"])
@@ -601,7 +597,7 @@ def load_models(path):
             if not (np.isfinite(temperature) and temperature > 0):
                 raise ValueError(f"temperature must be finite and > 0, got {temperature}")
         except ValueError as exc:
-            raise ValueError(f"checkpoint model {md['provenance']!r}: {exc}") from None
+            raise ValueError(f"checkpoint model {name}: {exc}") from None
         models.append(LktModel(enc=enc, keys=keys, temperature=temperature,
                                provenance=md["provenance"], nl_columns=tuple(md["nl_columns"])))
     return models, doc["config_hash"]

@@ -5,6 +5,7 @@ import inspect
 import json
 import pickle
 from dataclasses import FrozenInstanceError, asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def _csv_config():
         csv=CsvSource(task_path="t.csv", data_paths=("a.csv", "b.csv"),
                       id_column="pid"),
         ol_columns=("t0", "t1"), nl_columns=("t2", "t3"),
-        lkt=LktConfig(beta_recons=2.0, beta_mi=0.5, mine_hidden=[8, 4]))
+        lkt=LktConfig(mine_hidden=[8, 4]))
 
 
 def _all_fields_config():
@@ -70,10 +71,8 @@ def _all_fields_config():
             noise=0.2, label_noise=0.1, redundant_hospitals=True, seed=3),
         ol_columns=("t0", "t1", "t2"), nl_columns=("t3", "t4"),
         standardize_features=False,
-        frl=FrlParams(method="vfedpca", block_size=5, iter_num=50, period_num=4,
-                      warm_start=False, rank=2),
-        lkt=LktConfig(latent_dim=3, mi_weight=0.2, beta_recons=2.0, beta_mi=0.5,
-                      temperature=0.25, learning_rate=2e-3, batch_size=32, epochs=7,
+        frl=FrlParams(method="vfedpca", block_size=5, iter_num=50, period_num=4, rank=2),
+        lkt=LktConfig(latent_dim=3, mi_weight=0.2, temperature=0.25, learning_rate=2e-3, batch_size=32, epochs=7,
                       finetune_epochs=3, finetune_lr=5e-4,
                       reconstruction_source="local", hidden_width=6,
                       mine_hidden=(8, 4), mine_activation="tanh"),
@@ -134,12 +133,24 @@ class TestGenerateSynthetic:
 class TestExperimentConfig:
     def test_dict_round_trip(self):
         cfg = _tiny_config(
-            frl=FrlParams(method="vfedpca", iter_num=50, warm_start=False),
+            frl=FrlParams(method="vfedpca", iter_num=50, period_num=50),
             downstream=DownstreamParams(model="mlp", n_seeds=3,
                                         few_shot_fraction=0.1,
                                         epochs=25, learning_rate=0.02),
         )
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_readme_config_example_matches_the_code(self):
+        # the README's first JSON block is a whole config: every key of every
+        # section, nested ones included, and no key the code does not know
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        doc = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+        def keys(d, prefix=""):
+            return {prefix + k for k in d} | {
+                x for k, v in d.items() if isinstance(v, dict) for x in keys(v, f"{prefix}{k}.")}
+
+        assert keys(doc) == keys(asdict(ExperimentConfig.from_dict(doc)))
 
     def test_csv_source_round_trip(self):
         cfg = ExperimentConfig(csv=CsvSource(task_path="t.csv",
@@ -165,6 +176,8 @@ class TestExperimentConfig:
         (_tiny_config, {"frl": {"iter": 5}}, "frl.iter"),
         (_tiny_config, {"lkt": {"epoch": 5}}, "lkt.epoch"),
         (_tiny_config, {"downstream": {"n_seed": 1}}, "downstream.n_seed"),
+        (_tiny_config, {"frl": {"warm_start": False}}, "frl.warm_start"),
+        (_tiny_config, {"lkt": {"beta_recons": 2.0}}, "lkt.beta_recons"),
     ])
     def test_unknown_key_rejected_by_dotted_path(self, make, edit, path):
         with pytest.raises(ConfigError, match=f"unknown key {path}$"):
@@ -214,8 +227,8 @@ class TestExperimentConfig:
         ("lkt", {"temperature": -0.5}, "temperature"),
         ("lkt", {"epochs": 0}, "epochs"),
         ("lkt", {"mine_activation": "gelu"}, "mine_activation"),
-        ("lkt", {"beta_recons": 2.0}, "together"),
-        ("lkt", {"beta_mi": 0.5}, "together"),
+        ("lkt", {"temperature": float("nan")}, "temperature must be finite and > 0, got nan"),
+        ("lkt", {"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
         ("downstream", {"train_fraction": 0.0}, "train_fraction"),
         ("downstream", {"train_fraction": 1.0}, "train_fraction"),
         ("downstream", {"few_shot_fraction": 0.0}, "few_shot_fraction"),
@@ -232,10 +245,10 @@ class TestExperimentConfig:
         ("lkt", {"mi_weight": -0.1}, "mi_weight must be finite and >= 0"),
         ("lkt", {"mi_weight": float("nan")}, "mi_weight"),
         ("lkt", {"mi_weight": float("inf")}, "mi_weight"),
-        ("lkt", {"beta_recons": -1.0, "beta_mi": 0.5}, "beta_recons"),
-        ("lkt", {"beta_recons": float("nan"), "beta_mi": 0.5}, "beta_recons"),
-        ("lkt", {"beta_recons": 1.0, "beta_mi": -0.5}, "beta_mi"),
-        ("lkt", {"beta_recons": 1.0, "beta_mi": float("inf")}, "beta_mi"),
+        ("lkt", {"finetune_lr": float("nan")}, "finetune_lr must be finite and > 0, got nan"),
+        ("downstream", {"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
+        ("downstream", {"train_fraction": float("nan")}, "train_fraction"),
+        ("downstream", {"few_shot_fraction": float("nan")}, "few_shot_fraction"),
         ("lkt", {"temperature": float("inf")}, "temperature must be finite and > 0, got inf"),
         ("lkt", {"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
         ("lkt", {"finetune_lr": float("inf")}, "finetune_lr must be finite and > 0"),
@@ -280,6 +293,10 @@ class TestExperimentConfig:
         ({"synthetic": {}, "frl": {"iter_num": 0}}, "frl: iter_num must be >= 1"),
         ({"synthetic": {}, "lkt": {"epochs": 0}}, "lkt: epochs must be >= 1"),
         ({"synthetic": {}, "downstream": {"epochs": 0}}, "downstream: epochs must be >= 1"),
+        ({"synthetic": {}, "ol_columns": ["t0", "t1"], "nl_columns": ["t2", "t3"],
+          "lkt": {"reconstruction_source": "overlap"}},
+         "lkt.reconstruction_source 'overlap' needs matching column schemas, "
+         "got ol_columns ['t0', 't1'] and nl_columns ['t2', 't3']"),
     ])
     def test_section_error_names_its_section(self, doc, message):
         with pytest.raises(ConfigError) as exc:
@@ -298,14 +315,14 @@ class TestExperimentConfig:
     # change of serialization cannot silently re-key reports and checkpoints
     @pytest.mark.parametrize("make, json_sha256, config_hash", [
         (_tiny_config,
-         "7eee490f76c8f87747cf5addb29ea561e543ef8216889c634e3fe35b354851d2",
-         "e1575c0cb22d0609"),
+         "e5fc5e289809421c3887ddc0ef2c99bd2ad293a9ce101fb53f83f4046cf85db6",
+         "a7334a2d1cf5b1fe"),
         (_csv_config,
-         "c8fb932afd1db9a4d0913207f1d2f0cef2eb9d55fde7b4c4034565549270ac90",
-         "9ca6f08b619d4123"),
+         "2d4e94c1ab11a36f2ca9f7a54431e16b4e4fd1a9d21c546ecf86a9f88accfcee",
+         "d03c80d8234d9471"),
         (_all_fields_config,
-         "e58e96f00e640c55d86e8e34fb7f628faa59e30459ac9707c90ab05e063e32bc",
-         "01f92d9e68999699"),
+         "a76e44ba0916b9c5a6dbb1f34fb3a4118aee8ffd997b44c5bd44ddbf76f0e2ab",
+         "b894d5a18081ddc1"),
     ])
     def test_serialization_is_pinned(self, make, json_sha256, config_hash):
         cfg = make()

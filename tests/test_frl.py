@@ -40,12 +40,12 @@ def _parties(n=20, sizes=(4, 3, 5), seed=0):
     return {f"p{k}": rng.normal(size=(n, f)) for k, f in enumerate(sizes)}
 
 
-def _dense_a(pair):
-    """The block-diagonal row mask A assembled from a party's mask blocks."""
-    n = sum(b.shape[0] for b in pair.a_blocks)
+def _dense_a(keys):
+    """The block-diagonal row mask A assembled from a party's mask keys."""
+    n = sum(b.shape[0] for b in keys[:-1])
     a = np.zeros((n, n))
     start = 0
-    for block in pair.a_blocks:
+    for block in keys[:-1]:
         stop = start + block.shape[0]
         a[start:stop, start:stop] = block
         start = stop
@@ -105,42 +105,43 @@ class TestBus:
 
 class TestFedSvdSteps:
     def test_keygen_masks_are_orthogonal(self):
-        pairs = fedsvd_keygen(8, [3, 5], seed=0)
-        a = _dense_a(pairs[0])
+        keys = fedsvd_keygen(8, [3, 5], seed=0)
+        a = _dense_a(keys[0])
         np.testing.assert_allclose(a @ a.T, np.eye(8), atol=1e-10)
-        assert all(p.a_blocks is pairs[0].a_blocks for p in pairs)
-        b = np.vstack([p.b_k for p in pairs])
+        # every party gets the same A blocks, then its own slice of B
+        assert all(x is y for k in keys for x, y in zip(k[:-1], keys[0][:-1], strict=True))
+        b = np.vstack([k[-1] for k in keys])
         np.testing.assert_allclose(b @ b.T, np.eye(8), atol=1e-10)
-        assert [p.b_k.shape for p in pairs] == [(3, 8), (5, 8)]
+        assert [k[-1].shape for k in keys] == [(3, 8), (5, 8)]
 
     @pytest.mark.parametrize("n", [1, 80, 200, MASK_BLOCK])
     def test_one_block_is_the_dense_haar_mask(self, n):
         # up to one block, A is exactly the dense Haar mask of the same seed
-        (a,) = fedsvd_keygen(n, [3, 4], seed=11)[0].a_blocks
+        a, _ = fedsvd_keygen(n, [3, 4], seed=11)[0]
         np.testing.assert_array_equal(a, random_orthogonal(n, np.random.default_rng(11)))
 
     def test_column_mask_is_dense_below_the_block_size(self):
         # block_size shapes A only: B mixes every feature of every party
-        pairs = fedsvd_keygen(6, [3, 5], seed=2, block_size=2)
-        b = np.vstack([p.b_k for p in pairs])
+        keys = fedsvd_keygen(6, [3, 5], seed=2, block_size=2)
+        b = np.vstack([k[-1] for k in keys])
         np.testing.assert_allclose(b @ b.T, np.eye(8), atol=1e-10)
         assert np.all(b != 0)
 
     @pytest.mark.parametrize("n, block_size", [(8, None), (20, 8), (30, 8)])
     def test_column_mask_is_the_haar_draw_after_the_row_blocks(self, n, block_size):
-        pairs = fedsvd_keygen(n, [3, 5], seed=6, block_size=block_size)
+        keys = fedsvd_keygen(n, [3, 5], seed=6, block_size=block_size)
         rng = np.random.default_rng(6)
-        for block in pairs[0].a_blocks:
+        for block in keys[0][:-1]:
             np.testing.assert_array_equal(block, random_orthogonal(block.shape[0], rng))
-        np.testing.assert_array_equal(np.vstack([p.b_k for p in pairs]),
+        np.testing.assert_array_equal(np.vstack([k[-1] for k in keys]),
                                       random_orthogonal(8, rng))
 
     def test_large_overlap_is_split_into_blocks(self):
-        pair = fedsvd_keygen(2 * MASK_BLOCK + 7, [3], seed=0)[0]
-        assert [b.shape for b in pair.a_blocks] == [(MASK_BLOCK,) * 2] * 2 + [(7, 7)]
-        a = _dense_a(pair)
+        keys = fedsvd_keygen(2 * MASK_BLOCK + 7, [3], seed=0)[0]
+        assert [b.shape for b in keys[:-1]] == [(MASK_BLOCK,) * 2] * 2 + [(7, 7)]
+        a = _dense_a(keys)
         np.testing.assert_allclose(a @ a.T, np.eye(a.shape[0]), atol=1e-10)
-        assert [b.shape for b in fedsvd_keygen(100, [3], 0, block_size=40)[0].a_blocks] == \
+        assert [b.shape for b in fedsvd_keygen(100, [3], 0, block_size=40)[0][:-1]] == \
             [(40, 40), (40, 40), (20, 20)]
 
     def test_keygen_rejects_bad_sizes(self):
@@ -152,19 +153,19 @@ class TestFedSvdSteps:
             fedsvd_keygen(4, [2, 0], seed=0)
 
     def test_mask_dimension_mismatch(self):
-        pairs = fedsvd_keygen(4, [3], seed=1)
+        keys = fedsvd_keygen(4, [3], seed=1)
         with pytest.raises(ProtocolError, match="mismatch"):
-            fedsvd_mask(np.ones((4, 2)), pairs[0])
+            fedsvd_mask(np.ones((4, 2)), keys[0])
         with pytest.raises(ProtocolError, match="mismatch"):
-            fedsvd_mask(np.ones((5, 3)), pairs[0])
+            fedsvd_mask(np.ones((5, 3)), keys[0])
         with pytest.raises(ProtocolError, match="mismatch"):
-            fedsvd_recover(np.ones((5, 2)), pairs[0].a_blocks)
+            fedsvd_recover(np.ones((5, 2)), keys[0])
 
     def test_masking_preserves_singular_values(self):
         rng = np.random.default_rng(2)
         h = {f"p{k}": rng.normal(size=(10, f)) for k, f in enumerate((3, 4))}
-        pairs = fedsvd_keygen(10, [3, 4], seed=3)
-        masked = sum(fedsvd_mask(h[f"p{k}"], pairs[k]) for k in range(2))
+        keys = fedsvd_keygen(10, [3, 4], seed=3)
+        masked = sum(fedsvd_mask(h[f"p{k}"], keys[k]) for k in range(2))
         raw = np.hstack(list(h.values()))
         s_masked = np.linalg.svd(masked, compute_uv=False)
         s_raw = np.linalg.svd(raw, compute_uv=False)
@@ -180,16 +181,15 @@ class TestFedSvdSteps:
 
     def test_recover_inverts_row_mask(self):
         for n, block_size in [(5, None), (MASK_BLOCK + 44, None), (100, 40)]:
-            pair = fedsvd_keygen(n, [2], seed=4, block_size=block_size)[0]
+            keys = fedsvd_keygen(n, [2], seed=4, block_size=block_size)[0]
             u = np.random.default_rng(0).normal(size=(n, 3))
-            np.testing.assert_allclose(fedsvd_recover(_dense_a(pair) @ u, pair.a_blocks), u,
-                                       atol=1e-12)
+            np.testing.assert_allclose(fedsvd_recover(_dense_a(keys) @ u, keys), u, atol=1e-12)
 
     def test_mask_applies_the_dense_mask_block_by_block(self):
         for n, block_size in [(5, None), (MASK_BLOCK + 44, None), (100, 40)]:
-            pair = fedsvd_keygen(n, [2, 3], seed=4, block_size=block_size)[1]
+            keys = fedsvd_keygen(n, [2, 3], seed=4, block_size=block_size)[1]
             h = np.random.default_rng(0).normal(size=(n, 3))
-            np.testing.assert_allclose(fedsvd_mask(h, pair), _dense_a(pair) @ h @ pair.b_k,
+            np.testing.assert_allclose(fedsvd_mask(h, keys), _dense_a(keys) @ h @ keys[-1],
                                        atol=1e-12)
 
     def test_masked_upload_hides_raw_data(self):
@@ -201,8 +201,7 @@ class TestFedSvdSteps:
             rng = np.random.default_rng(123)
             for seed in range(12):
                 h = rng.normal(size=(n, 4))
-                pair = fedsvd_keygen(n, [4], seed=seed)[0]
-                masked = fedsvd_mask(h, pair)
+                masked = fedsvd_mask(h, fedsvd_keygen(n, [4], seed=seed)[0])
                 rel = np.linalg.norm(masked[:, :4] - h) / np.linalg.norm(h)
                 if rel < 0.1:
                     failures += 1
@@ -236,9 +235,9 @@ class TestFedSvdProtocol:
         n = 2 * MASK_BLOCK + 88
         parties = _parties(n=n, sizes=(6, 5), seed=3)
         raw = np.hstack(list(parties.values()))
-        pairs = fedsvd_keygen(n, [6, 5], seed=9, block_size=block_size)
-        assert len(pairs[0].a_blocks) == -(-n // (block_size or MASK_BLOCK))
-        masked = sum(fedsvd_mask(h, p) for h, p in zip(parties.values(), pairs))
+        keys = fedsvd_keygen(n, [6, 5], seed=9, block_size=block_size)
+        assert len(keys[0]) - 1 == -(-n // (block_size or MASK_BLOCK))
+        masked = sum(fedsvd_mask(h, k) for h, k in zip(parties.values(), keys))
         s_masked = np.linalg.svd(masked, compute_uv=False)
         u_ref, s_ref, _ = np.linalg.svd(raw, full_matrices=False)
         np.testing.assert_allclose(s_masked, s_ref, rtol=0, atol=1e-10 * s_ref[0])
@@ -409,16 +408,17 @@ class TestVFedPcaProtocol:
         parties = _parties(n=10, sizes=(3, 3), seed=6)
         bus = MessageBus()
         run_vfedpca(bus, "p0", parties, _overlap(10), seed=1,
-                    params=FrlParams(iter_num=25, period_num=10, warm_start=True))
+                    params=FrlParams(iter_num=25, period_num=10))
         # 25 iterations at period 10 -> rounds of 10, 10, 5 -> 3 uploads/party
         shares = bus.messages_of_kind("eigen_share")
         assert len(shares) == 6
 
     def test_no_warm_start_single_round(self):
+        # a period of at least iter_num is one round: one upload per party
         parties = _parties(n=10, sizes=(3, 3), seed=6)
         bus = MessageBus()
         run_vfedpca(bus, "p0", parties, _overlap(10), seed=1,
-                    params=FrlParams(iter_num=25, warm_start=False))
+                    params=FrlParams(iter_num=25, period_num=25))
         assert len(bus.messages_of_kind("eigen_share")) == 2
 
     def test_unsettled_local_runs_are_counted(self):

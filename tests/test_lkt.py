@@ -3,6 +3,7 @@ augmentation, and checkpoints."""
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,8 +295,7 @@ class TestLossAndGrads:
     def test_loss_components_reported(self):
         model, x_nl, x_rec, h_fed = self._setup(0)
         loss, parts, _ = loss_and_grads(model, x_nl, x_rec, h_fed, shift=1)
-        b0, b1 = model.weights
-        assert loss == pytest.approx(b0 * parts["recons"] - b1 * parts["mi"])
+        assert loss == pytest.approx(parts["recons"] - model.mi_weight * parts["mi"])
 
 
 class TestLktTrain:
@@ -339,6 +339,15 @@ class TestLktTrain:
         cfg = LktConfig(latent_dim=2, epochs=1, reconstruction_source="overlap")
         with pytest.raises(ValueError, match="matching column schemas"):
             lkt_train(h_ol, x, fed, cfg, seed=0)
+        # equal widths are not a matching schema: the column names must match
+        renamed = FeatureMatrix(ids=h_ol.ids[:4], columns=("y0", "y1", "y2", "y3"),
+                                values=rng.normal(size=(4, 4)))
+        with pytest.raises(ValueError, match="matching column schemas"):
+            lkt_train(renamed, x, fed, cfg, seed=0)
+        # ... so auto reconstructs the local rows, exactly as local does
+        auto, local = (lkt_train(renamed, x, fed, replace(cfg, reconstruction_source=source),
+                                 seed=0) for source in ("auto", "local"))
+        assert auto.enc.to_dict() == local.enc.to_dict()
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
@@ -368,14 +377,11 @@ class TestLktTrain:
 
 class TestConfig:
     def test_single_weight_mode(self):
-        assert LktConfig(mi_weight=0.25).loss_weights() == (1.0, 0.25)
-
-    def test_per_term_weights(self):
-        assert LktConfig(beta_recons=2.0, beta_mi=0.5).loss_weights() == (2.0, 0.5)
-
-    def test_betas_must_come_together(self):
-        with pytest.raises(ValueError, match="together"):
-            LktConfig(beta_recons=2.0).loss_weights()
+        # the MI weight is the loss's one weight, and a float also when set as an int
+        for weight in (0.25, 1):
+            pair = build_model(n_nl=2, n_rec=2, n_fed=3, config=LktConfig(mi_weight=weight),
+                               seed=0, provenance="p", nl_columns="ab", recon_columns="ab")
+            assert type(pair.mi_weight) is float and pair.mi_weight == weight
 
     def test_default_latent_matches_input(self):
         cfg = LktConfig()
@@ -654,13 +660,15 @@ class TestCheckpoints:
             assert g.enc.forward(x)[0].tobytes() == w.enc.forward(x)[0].tobytes()
             assert g.keys.tobytes() == w.keys.tobytes()
 
-    def _tampered(self, tmp_path, key, value):
+    def _tampered(self, tmp_path, key, value=None, delete=False):
         import json
 
         path = tmp_path / "models.json"
         save_models(path, self._models(), config_hash="h")
         doc = json.loads(path.read_text())
-        if key == "keys":
+        if delete:
+            del doc["models"][1][key]
+        elif key == "keys":
             doc["models"][1]["keys"][3][1] = value
         else:
             doc["models"][1][key] = value
@@ -693,6 +701,19 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
             load_models(path)
+
+    @pytest.mark.parametrize("key", ["enc", "keys", "temperature", "nl_columns", "provenance"])
+    def test_rejects_a_missing_key(self, tmp_path, key):
+        # the model is named by its index, and by its provenance while it has one
+        name = "1" if key == "provenance" else "1 'pair-1'"
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint model {name}: missing key(s) ['{key}']")):
+            load_models(self._tampered(tmp_path, key, delete=True))
+
+    def test_rejects_an_unknown_key(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(
+                "checkpoint model 1 'pair-1': unknown key(s) ['history']")):
+            load_models(self._tampered(tmp_path, "history", {"loss": [1.0]}))
 
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
     def test_rejects_non_finite_keys(self, tmp_path, value):
