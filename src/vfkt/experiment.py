@@ -166,6 +166,14 @@ def prepare_dataset(cfg: ExperimentConfig) -> Dataset:
         for k, p in enumerate(cfg.csv.data_paths):
             feat, _ = load_csv(p, cfg.csv.id_column, None)
             data_parties.append(PartyState(party_id=f"data-{k}", role="data", features=feat))
+    if cfg.lkt.reconstruction_source == "overlap":
+        # a partition left unsplit takes every task column
+        ol = cfg.ol_columns or task.features.columns
+        nl = cfg.nl_columns or task.features.columns
+        if ol != nl:
+            raise ConfigError("lkt.reconstruction_source 'overlap' needs matching column "
+                              f"schemas, got overlap columns {list(ol)} and non-overlap "
+                              f"columns {list(nl)}")
     if cfg.standardize_features:
         task = replace(task, features=standardize(task.features)[0])
         data_parties = [replace(p, features=standardize(p.features)[0]) for p in data_parties]
@@ -344,6 +352,7 @@ def add_data_hospital(models: list, cfg: ExperimentConfig, dataset: Dataset,
     then reruns contrastive fine-tuning over all encoders against each
     model's stored attention keys. Of the existing data parties only the
     sample ids are read, and their pair models are otherwise untouched.
+    Existing encoders must have the layout ``cfg.lkt`` gives the new pair's.
     Returns (models, bus).
     """
     if new_party.role != "data":
@@ -354,6 +363,8 @@ def add_data_hospital(models: list, cfg: ExperimentConfig, dataset: Dataset,
     if new_party.party_id in {m.provenance for m in models}:
         raise DataError(f"{new_party.party_id!r} already has a pair model")
     lkt_mod.contrastive_temperature([cfg.lkt.temperature, *(m.temperature for m in models)])
+    lkt_mod.check_encoder_layout(models, lkt_mod.encoder_layout(h_t_nl.n_cols, cfg.lkt),
+                                 "the new pair's")
     new = _train_pair_models(cfg, cfg.lkt, dataset.task, (new_party,), h_t_nl, run_seed,
                              first=len(dataset.data_parties))
     all_models = lkt_mod.lkt_finetune_contrastive(models + new.models, h_t_nl, cfg.lkt,

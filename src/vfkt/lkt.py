@@ -22,7 +22,8 @@ import numpy as np
 
 from .data import ConfigError, FeatureMatrix, standardize_columns
 from .frl import FederatedRepresentation
-from .numerics import ACTIVATIONS, AdamState, Array, DenseNet, _buf, logmeanexp, softmax_rows
+from .numerics import (ACTIVATIONS, AdamState, Array, DenseNet, _act, _act_grad, _buf,
+                       logmeanexp, softmax_rows)
 
 CHECKPOINT_VERSION = 3
 
@@ -255,6 +256,32 @@ def train_mine(p: Array, q: Array, steps: int, seed) -> DenseNet:
 # Pair-model training
 # ---------------------------------------------------------------------------
 
+_PAIR_ACTIVATIONS = ("sigmoid", "sigmoid", "linear")
+
+
+def _encoder_sizes(n_nl: int, config: LktConfig) -> list[int]:
+    """The layer widths ``[n_nl, h, h, d]`` of a pair encoder over ``n_nl`` columns."""
+    d = config.latent_dim if config.latent_dim is not None else n_nl
+    h = config.hidden_width if config.hidden_width is not None else max(d, n_nl)
+    return [n_nl, h, h, d]
+
+
+def encoder_layout(n_nl: int, config: LktConfig) -> tuple:
+    """The ``DenseNet.layout`` of the encoder ``build_model`` draws over ``n_nl`` columns."""
+    sizes = _encoder_sizes(n_nl, config)
+    return tuple(zip(zip(sizes, sizes[1:]), _PAIR_ACTIVATIONS))
+
+
+def check_encoder_layout(models: list[LktModel], want: tuple, whose: str) -> None:
+    """Reject, naming the first, a model whose encoder layer shapes or
+    activations are not ``want`` (``whose`` layout, for the message): the
+    fine-tune steps all encoders as one stacked network."""
+    for i, m in enumerate(models):
+        if m.enc.layout != want:
+            raise ValueError(f"pair model {i} {m.provenance!r}: encoder layout {m.enc.layout} "
+                             f"differs from {whose} {want}")
+
+
 def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed,
                 provenance: str, nl_columns, recon_columns) -> TrainingPair:
     """Freshly drawn networks for pair ``provenance``, whose encoder reads
@@ -263,10 +290,10 @@ def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed,
         raise ValueError(f"pair {provenance!r}: {len(nl_columns)} input and {len(recon_columns)} "
                          f"reconstruction column names for widths {n_nl} and {n_rec}")
     rng = np.random.default_rng(seed)
-    d = config.latent_dim if config.latent_dim is not None else n_nl
-    h = config.hidden_width if config.hidden_width is not None else max(d, n_nl)
-    enc = DenseNet.create([n_nl, h, h, d], ["sigmoid", "sigmoid", "linear"], rng)
-    dec = DenseNet.create([d, h, h, n_rec], ["sigmoid", "sigmoid", "linear"], rng)
+    sizes = _encoder_sizes(n_nl, config)
+    d = sizes[-1]
+    enc = DenseNet.create(sizes, _PAIR_ACTIVATIONS, rng)
+    dec = DenseNet.create([d, *sizes[1:-1], n_rec], _PAIR_ACTIVATIONS, rng)
     mine = _critic(2 * d, config, rng)
     phi = rng.standard_normal((n_fed, d)) / np.sqrt(n_fed)
     return TrainingPair(enc=enc, dec=dec, phi=phi, mine=mine, mi_weight=float(config.mi_weight),
@@ -400,17 +427,18 @@ def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
 # ---------------------------------------------------------------------------
 
 def _cosine_rows(e: Array, z: Array, eps: float = 1e-12):
-    en = np.linalg.norm(e, axis=1) + eps
-    zn = np.linalg.norm(z, axis=1) + eps
-    dots = np.sum(e * z, axis=1)
+    en = np.linalg.norm(e, axis=-1) + eps
+    zn = np.linalg.norm(z, axis=-1) + eps
+    dots = np.sum(e * z, axis=-1)
     return dots / (en * zn), en, zn, dots
 
 
 def _mean_cosine_and_grad(e: Array, z: Array):
-    """Mean row-wise cosine similarity and its gradient w.r.t. e."""
+    """Mean row-wise cosine similarity over the rows of the last two axes,
+    and its gradient w.r.t. e: for (K, n, d) inputs, K similarities."""
     cos, en, zn, dots = _cosine_rows(e, z)
-    sim = float(np.mean(cos))
-    grad = (z / (en * zn)[:, None] - (dots / (en ** 3 * zn))[:, None] * e) / e.shape[0]
+    sim = np.mean(cos, axis=-1)
+    grad = (z / (en * zn)[..., None] - (dots / (en ** 3 * zn))[..., None] * e) / e.shape[-2]
     return sim, grad
 
 
@@ -436,6 +464,18 @@ def contrastive_loss(models: list[LktModel], x: Array, targets: list[Array], i: 
     return float(_contrastive(sims, contrastive_temperature(m.temperature for m in models))[1][i])
 
 
+def _stacked_layers(flat: Array, net: DenseNet) -> list[tuple[Array, Array]]:
+    """(K, fan_in, fan_out) weight and (K, fan_out) bias views of each layer
+    in ``flat``, K parameter buffers laid out as ``net.params`` stacked as rows."""
+    views, start = [], 0
+    for l in net.layers:
+        w = flat[:, start:start + l.w.size].reshape(-1, *l.w.shape)
+        start += l.w.size
+        views.append((w, flat[:, start:start + l.b.size]))
+        start += l.b.size
+    return views
+
+
 def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
                              config: LktConfig, seed) -> list[LktModel]:
     """Push each pair encoder toward its own readout and away from the others.
@@ -445,8 +485,15 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
     Adam moments start at zero, so the result does not depend on where the
     models came from. With a single pair the loss is identically zero: no
     step is taken, and the history records a zero loss per epoch.
+
+    The K encoders, which must share model 0's layout, step as one stacked
+    network: their parameters are rows of one (K, P) array, every layer is
+    a batched matmul over the shared input rows, and one Adam update steps
+    all K rows. The result is bit for bit that of stepping each encoder on
+    its own.
     """
     tau = contrastive_temperature(m.temperature for m in models)
+    check_encoder_layout(models, models[0].enc.layout, "model 0's")
     models = [m.copy() for m in models]
     n = len(models)
     if n == 1:
@@ -454,32 +501,44 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
         models[0].history = {**models[0].history, "contrastive": history}
         return models
     x = h_t_nl.values
-    targets = [_readout(m, x, config.batch_size) for m in models]
+    targets = np.stack([_readout(m, x, config.batch_size) for m in models])  # (K, N, d)
 
+    params = np.stack([m.enc.params for m in models])
+    grads = np.empty_like(params)
+    layers = _stacked_layers(params, models[0].enc)
+    grad_layers = _stacked_layers(grads, models[0].enc)
+    acts = [l.activation for l in models[0].enc.layers]
+    adam = AdamState.like(params)
     rng = np.random.default_rng(seed)
-    adams = [m.enc.adam_state() for m in models]
     losses: list[float] = []
     for _ in range(config.finetune_epochs):
         ep_loss, n_batches = 0.0, 0
         for idx in _batches(x.shape[0], config.batch_size, rng):
-            xb = x[idx]
-            sims, grads_e, caches = [], [], []
-            for m, t in zip(models, targets):
-                e, cache = m.enc.forward(xb)
-                sim, g = _mean_cosine_and_grad(e, t[idx])
-                sims.append(sim)
-                grads_e.append(g)
-                caches.append(cache)
+            a, cache = x[idx], []  # the first matmul broadcasts the shared rows
+            for (w, b), act in zip(layers, acts):
+                z = np.matmul(a, w)
+                z += b[:, None]
+                a_next = _act(act, z)
+                cache.append((a, a_next))
+                a = a_next
+            sims, g = _mean_cosine_and_grad(a, targets[:, idx])
             p, pair_losses = _contrastive(sims, tau)
             # only enc_i's own similarity backprops: d(loss_i)/d(sim_i) = (p_i - 1) / tau
-            enc_grads = [m.enc.backward(cache, (p_i - 1.0) / tau * g, inputs=False)[0]
-                         for m, cache, g, p_i in zip(models, caches, grads_e, p)]
-            for m, adam, g in zip(models, adams, enc_grads):
-                m.enc.adam_step(adam, g, config.finetune_lr)
+            g *= ((p - 1.0) / tau)[:, None, None]
+            for i in range(len(layers) - 1, -1, -1):
+                a_in, a_out = cache[i]
+                gz = g if acts[i] == "linear" else g * _act_grad(acts[i], a_out)
+                gw, gb = grad_layers[i]
+                np.matmul(np.swapaxes(a_in, -1, -2), gz, out=gw)
+                np.sum(gz, axis=-2, out=gb)
+                if i > 0:
+                    g = np.matmul(gz, np.swapaxes(layers[i][0], -1, -2))
+            params[:] = adam.update(params, grads, config.finetune_lr)
             ep_loss += sum(pair_losses) / n
             n_batches += 1
         losses.append(ep_loss / max(n_batches, 1))
-    for m in models:
+    for m, row in zip(models, params):
+        m.enc.params[:] = row
         m.history = {**m.history, "contrastive": list(losses)}
     return models
 

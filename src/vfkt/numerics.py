@@ -170,9 +170,9 @@ def _act(name: str, z: Array) -> Array:
         np.negative(e, out=e)
         np.exp(e, out=e)
         d = 1.0 + e
-        np.copyto(e, 1.0, where=z >= 0)
-        e /= d
-        return e
+        num = np.where(z >= 0, 1.0, e)
+        num /= d
+        return num
     if name == "relu":
         return np.maximum(z, 0.0, out=z)
     if name == "tanh":
@@ -251,7 +251,7 @@ class DenseNet:
     attention block feeding a critic, etc.); either part can be skipped when
     the caller discards it.
 
-    All weights and biases live in one flat buffer, laid out as
+    All weights and biases live in one flat buffer, ``params``, laid out as
     ``w_0, b_0, w_1, b_1, ...``; each layer's ``w`` and ``b`` are views into
     it, so they must be modified in place, never rebound (``adam_step``
     raises if one has been); unpickling goes through ``__init__``, which
@@ -268,13 +268,13 @@ class DenseNet:
             if i and layers[i - 1].w.shape[1] != l.w.shape[0]:
                 raise ValueError("consecutive layer dimensions do not chain")
         self.layers = layers
-        self._params = np.concatenate(
+        self.params = np.concatenate(
             [np.ravel(x) for l in layers for x in (l.w, l.b)], dtype=float)
         start = 0
         for l in layers:
-            l.w = self._params[start:start + l.w.size].reshape(l.w.shape)
+            l.w = self.params[start:start + l.w.size].reshape(l.w.shape)
             start += l.w.size
-            l.b = self._params[start:start + l.b.size]
+            l.b = self.params[start:start + l.b.size]
             start += l.b.size
 
     @classmethod
@@ -296,6 +296,11 @@ class DenseNet:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].w.shape[1]
+
+    @property
+    def layout(self) -> tuple:
+        """Each layer's ``((fan_in, fan_out), activation)``."""
+        return tuple((l.w.shape, l.activation) for l in self.layers)
 
     def forward(self, x: Array, ws: dict | None = None):
         """Returns (output, cache); cache feeds ``backward``.
@@ -349,7 +354,7 @@ class DenseNet:
 
     def adam_state(self) -> AdamState:
         """Zero Adam moments over this net's parameters, for ``adam_step``."""
-        return AdamState.like(self._params)
+        return AdamState.like(self.params)
 
     def adam_step(self, state: AdamState, grads, lr: float, ascend: bool = False) -> None:
         """One Adam step of the parameters along ``grads``, advancing ``state``."""
@@ -358,14 +363,14 @@ class DenseNet:
         for layer, (dw, db) in zip(self.layers, grads):
             if dw.shape != layer.w.shape or db.shape != layer.b.shape:
                 raise ValueError("gradient shape mismatch")
-            if layer.w.base is not self._params or layer.b.base is not self._params:
+            if layer.w.base is not self.params or layer.b.base is not self.params:
                 raise RuntimeError(
                     "a layer's w or b was rebound away from the net's parameter "
                     "buffer; modify parameters in place")
         flat = np.concatenate([np.ravel(x) for pair in grads for x in pair])
         if ascend:
             flat = -flat
-        self._params[:] = state.update(self._params, flat, lr)
+        self.params[:] = state.update(self.params, flat, lr)
 
     def __reduce__(self):
         return DenseNet, (self.layers,)
@@ -383,11 +388,14 @@ class DenseNet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenseNet":
-        layers = [
-            DenseLayer(np.asarray(l["w"], dtype=float), np.asarray(l["b"], dtype=float),
-                       l["activation"])
-            for l in d["layers"]
-        ]
+        try:
+            layers = [
+                DenseLayer(np.asarray(l["w"], dtype=float), np.asarray(l["b"], dtype=float),
+                           l["activation"])
+                for l in d["layers"]
+            ]
+        except KeyError as exc:
+            raise ValueError(f"network is missing key {exc.args[0]!r}") from None
         if not all(np.all(np.isfinite(x)) for l in layers for x in (l.w, l.b)):
             raise ValueError("network weights are not finite")
         return cls(layers)

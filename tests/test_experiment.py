@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import pickle
+import re
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
@@ -451,6 +452,27 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="unknown condition"):
             run_condition(_tiny_config(), "magic")
 
+    @pytest.mark.parametrize("split", [dict(ol_columns=("t0", "t1")),
+                                       dict(nl_columns=("t2", "t3"))], ids=["ol", "nl"])
+    def test_one_sided_split_cannot_rebuild_the_overlap(self, monkeypatch, split):
+        # the partition left unsplit takes all four task columns, which the
+        # dataset knows once it is loaded: the run stops before any message
+        cfg = _tiny_config(lkt=replace(_tiny_config().lkt, reconstruction_source="overlap"),
+                           **split)
+
+        def send(*args, **kwargs):
+            raise AssertionError("a message was sent before the config was checked")
+
+        monkeypatch.setattr(MessageBus, "send", send)
+        every = ["t0", "t1", "t2", "t3"]
+        ol, nl = split.get("ol_columns", every), split.get("nl_columns", every)
+        with pytest.raises(ConfigError, match=re.escape(
+                "lkt.reconstruction_source 'overlap' needs matching column schemas, got "
+                f"overlap columns {list(ol)} and non-overlap columns {list(nl)}")):
+            run_condition(cfg, "unitrans")
+        # with local reconstruction the same split is fine
+        prepare_dataset(replace(cfg, lkt=replace(cfg.lkt, reconstruction_source="local")))
+
     def test_overlap_of_one_row_rejected(self):
         # a one-row overlap has no column spread to standardize by
         spec = replace(_tiny_config().synthetic, overlap_count=1)
@@ -738,6 +760,24 @@ class TestAddDataHospital:
         self._forbid_work(monkeypatch)
         with pytest.raises(ValueError, match=r"temperature: \[0.5, 2.0\]"):
             add_data_hospital(loaded, hot, ds, _new_party(ds), run_seed=0)
+
+    @pytest.mark.parametrize("edit, layout", [
+        (dict(hidden_width=5), "((4, 5), 'sigmoid')"),
+        (dict(latent_dim=3), "((4, 3), 'linear')"),
+    ], ids=["hidden-width", "latent-width"])
+    def test_checkpoint_of_another_encoder_layout_rejected(self, tmp_path, monkeypatch,
+                                                          edit, layout):
+        cfg = _tiny_config(synthetic=replace(_tiny_config().synthetic, data_features=(4, 3)))
+        ds = prepare_dataset(cfg)
+        base = run_pipeline_once(cfg, "unitrans", ds, run_seed=0)
+        lkt.save_models(tmp_path / "models.json", base.models, cfg.config_hash)
+        loaded, _ = lkt.load_models(tmp_path / "models.json")
+        other = replace(cfg, lkt=replace(cfg.lkt, **edit))
+        self._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"^pair model 0 'data-0': encoder layout .* "
+                                             r"differs from the new pair's .*"
+                                             + re.escape(layout)):
+            add_data_hospital(loaded, other, ds, _new_party(ds), run_seed=0)
 
     @pytest.mark.parametrize("party_id, role, match", [
         ("data-1", "data", "'data-1' already has a pair model"),

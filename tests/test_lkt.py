@@ -83,6 +83,43 @@ def _trained_pairs(monkeypatch):
     return pairs
 
 
+def _reference_finetune(models, h_t_nl, config, seed):
+    """The per-model loop that ``lkt_finetune_contrastive`` must match bit
+    for bit: per batch, one forward pass, one backward pass and one Adam
+    step per encoder, with the 2-D cosine and softmax spelled out."""
+    tau = lkt.contrastive_temperature(m.temperature for m in models)
+    models = [m.copy() for m in models]
+    x = h_t_nl.values
+    targets = [lkt._readout(m, x, config.batch_size) for m in models]
+    rng = np.random.default_rng(seed)
+    adams = [m.enc.adam_state() for m in models]
+    losses = []
+    for _ in range(config.finetune_epochs):
+        ep_loss, n_batches = 0.0, 0
+        for idx in lkt._batches(x.shape[0], config.batch_size, rng):
+            sims, grads_e, caches = [], [], []
+            for m, t in zip(models, targets):
+                e, cache = m.enc.forward(x[idx])
+                z = t[idx]
+                en = np.linalg.norm(e, axis=1) + 1e-12
+                zn = np.linalg.norm(z, axis=1) + 1e-12
+                dots = np.sum(e * z, axis=1)
+                sims.append(float(np.mean(dots / (en * zn))))
+                grads_e.append((z / (en * zn)[:, None]
+                                - (dots / (en ** 3 * zn))[:, None] * e) / e.shape[0])
+                caches.append(cache)
+            p = softmax_rows(np.asarray(sims).reshape(1, -1) / tau).ravel()
+            for m, adam, cache, g, p_i in zip(models, adams, caches, grads_e, p):
+                grads, _ = m.enc.backward(cache, (p_i - 1.0) / tau * g, inputs=False)
+                m.enc.adam_step(adam, grads, config.finetune_lr)
+            ep_loss += sum(-np.log(max(p_i, 1e-300)) for p_i in p) / len(models)
+            n_batches += 1
+        losses.append(ep_loss / max(n_batches, 1))
+    for m in models:
+        m.history = {**m.history, "contrastive": list(losses)}
+    return models
+
+
 def _attention_weights(query, h_fed, phi):
     _, (_, _, e, inv, _) = _attend(query, h_fed @ phi)
     return e * inv
@@ -504,6 +541,68 @@ class TestFinetune:
             tracemalloc.stop()
         assert peak < 2000 * 1200 * 8 / 4
 
+    @staticmethod
+    def _untrained(k_models, n_rows, cfg):
+        rng = np.random.default_rng(n_rows)
+        x = _feature_matrix(rng.normal(size=(n_rows, 5)))
+        return [_pair_model(k, cfg, x.columns, n_keys=9) for k in range(k_models)], x
+
+    @pytest.mark.parametrize("k_models, repeat, n_rows", [
+        (2, 1, 64), (3, 1, 64), (6, 1, 64),
+        (3, 2, 64),  # repeated model objects, as an update passes them
+        (4, 1, 49),  # 49 rows in batches of 16: the last batch is one row
+    ], ids=["K2", "K3", "K6", "repeated", "last-batch-of-1"])
+    def test_matches_the_per_model_loop_bit_for_bit(self, k_models, repeat, n_rows):
+        cfg = LktConfig(latent_dim=3, hidden_width=6, batch_size=16, finetune_epochs=3,
+                        finetune_lr=1e-2)
+        models, x = self._untrained(k_models, n_rows, cfg)
+        got = lkt_finetune_contrastive(models * repeat, x, cfg, seed=5)
+        want = _reference_finetune(models * repeat, x, cfg, seed=5)
+        assert len(got) == len(want) == k_models * repeat
+        for g, w in zip(got, want):
+            assert g.enc.params.tobytes() == w.enc.params.tobytes()
+            assert g.history == w.history
+        assert want[0].enc.params.tobytes() != models[0].enc.params.tobytes()
+
+    def test_steps_no_encoder_on_its_own(self, monkeypatch):
+        calls = {"backward": 0, "adam_step": 0}
+        for name in calls:
+            real = getattr(DenseNet, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(DenseNet, name, counted)
+        cfg = LktConfig(latent_dim=3, hidden_width=6, batch_size=16, finetune_epochs=1)
+        models, x = self._untrained(5, 64, cfg)
+        out = lkt_finetune_contrastive(models, x, cfg, seed=0)
+        assert calls == {"backward": 0, "adam_step": 0}
+        assert out[0].enc.params.tobytes() != models[0].enc.params.tobytes()
+
+    @pytest.mark.parametrize("edit, layout", [
+        (dict(hidden_width=7), "((5, 7), 'sigmoid')"),
+        (dict(latent_dim=2), "((6, 2), 'linear')"),
+    ], ids=["hidden-width", "latent-width"])
+    def test_mixed_layouts_rejected(self, edit, layout):
+        cfg = LktConfig(latent_dim=3, hidden_width=6, finetune_epochs=1)
+        models, x = self._untrained(4, 20, cfg)
+        for k in (2, 3):  # the first odd one is named
+            models[k] = _pair_model(k, replace(cfg, **edit), x.columns, n_keys=9)
+        with pytest.raises(ValueError, match=r"^pair model 2 'pair-2': encoder layout .*"
+                                             + re.escape(layout) + r".* differs from model 0's"):
+            lkt_finetune_contrastive(models, x, cfg, seed=0)
+
+    def test_mixed_activations_rejected(self):
+        cfg = LktConfig(latent_dim=3, hidden_width=6, finetune_epochs=1)
+        models, x = self._untrained(3, 20, cfg)
+        relu = models[1].enc.copy()
+        relu.layers[0].activation = "relu"
+        models[1] = replace(models[1], enc=relu)
+        with pytest.raises(ValueError, match=r"^pair model 1 'pair-1': encoder layout "
+                                             r"\(\(\(5, 6\), 'relu'\)"):
+            lkt_finetune_contrastive(models, x, cfg, seed=0)
+
     def test_redundancy_edge_cases(self):
         models, x, _, _ = self._trained_pair()
         assert encoder_redundancy(models[:1], x) == 0.0
@@ -701,6 +800,15 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
             load_models(path)
+
+    @pytest.mark.parametrize("enc, match", [
+        ({}, "network is missing key 'layers'"),
+        ({"layers": [{"w": [[0.0, 0.0]] * 4, "b": [0.0, 0.0]}]},
+         "network is missing key 'activation'"),
+    ], ids=["no-layers", "no-activation"])
+    def test_rejects_a_malformed_encoder(self, tmp_path, enc, match):
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint model 1 'pair-1': {match}")):
+            load_models(self._tampered(tmp_path, "enc", enc))
 
     @pytest.mark.parametrize("key", ["enc", "keys", "temperature", "nl_columns", "provenance"])
     def test_rejects_a_missing_key(self, tmp_path, key):

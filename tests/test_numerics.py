@@ -11,6 +11,7 @@ from vfkt.numerics import (
     DenseNet,
     PowerIterationResult,
     SvdConvergenceError,
+    _act,
     haar_blocks,
     logmeanexp,
     power_iteration,
@@ -391,6 +392,16 @@ class TestDenseNet:
         restored = DenseNet.from_dict(net.to_dict())
         x = rng.standard_normal((4, 3))
         np.testing.assert_array_equal(net.forward(x)[0], restored.forward(x)[0])
+
+    def test_sigmoid_is_the_textbook_formula_on_each_half_line(self):
+        # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, bit
+        # for bit: neither overflows on its own half-line
+        z = np.random.default_rng(10).normal(size=(100, 20)) * 8.0
+        z[0, :6] = [0.0, -0.0, 750.0, -750.0, 1e-300, -1e-300]
+        got = _act("sigmoid", z.copy())
+        pos = z >= 0
+        assert got[pos].tobytes() == (1.0 / (1.0 + np.exp(-z[pos]))).tobytes()
+        assert got[~pos].tobytes() == (np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))).tobytes()
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(Exception):
