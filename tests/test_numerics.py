@@ -12,6 +12,8 @@ from vfkt.numerics import (
     PowerIterationResult,
     SvdConvergenceError,
     _act,
+    _act_grad,
+    _buf,
     haar_blocks,
     logmeanexp,
     power_iteration,
@@ -31,6 +33,50 @@ FIXED_MATRIX = np.array([
 ])
 FIXED_SINGULAR_VALUES = np.array(
     [3.681829232129506, 2.4569977304586095, 1.5515462152181927])
+
+
+# The one-network dense layer loop, spelled out for 2-D weights: ``DenseNet``
+# must match it bit for bit, for one net and for each row of a stacked one.
+
+def _reference_forward(net, x, ws=None):
+    cache = []
+    a = np.asarray(x, dtype=float)
+    for i, layer in enumerate(net.layers):
+        z = np.matmul(a, layer.w, out=_buf(ws, ("z", i), (a.shape[0], layer.w.shape[1])))
+        z += layer.b
+        a_next = _act(layer.activation, z)
+        cache.append((a, a_next))
+        a = a_next
+    return a, cache
+
+
+def _reference_backward(net, cache, grad_output, ws=None, params=True, inputs=True):
+    grads = [None] * len(net.layers)
+    g = np.asarray(grad_output, dtype=float)
+    for i in range(len(net.layers) - 1, -1, -1):
+        a_in, a_out = cache[i]
+        layer = net.layers[i]
+        if layer.activation == "linear":
+            gz = g
+        else:
+            gz = np.multiply(g, _act_grad(layer.activation, a_out),
+                             out=_buf(ws, ("gz", i), g.shape))
+        if params:
+            grads[i] = (a_in.T @ gz, gz.sum(axis=0))
+        if i > 0 or inputs:
+            g = np.matmul(gz, layer.w.T, out=_buf(ws, ("g", i), a_in.shape))
+    return (grads if params else None), (g if inputs else None)
+
+
+def _reference_adam_step(net, state, grads, lr, ascend=False):
+    flat = np.concatenate([np.ravel(x) for pair in grads for x in pair])
+    if ascend:
+        flat = -flat
+    net.params[:] = state.update(net.params, flat, lr)
+
+
+def _bits(arrays):
+    return [None if a is None else np.asarray(a).tobytes() for a in arrays]
 
 
 class TestSvd:
@@ -266,6 +312,33 @@ class TestAdam:
         for _ in range(2000):
             p = state.update(p, 2 * (p - 1.0), lr=0.05)
         assert abs(p[0] - 1.0) < 1e-3
+
+
+class TestDenseNetMatchesTheReferenceLoop:
+    @pytest.mark.parametrize("ws", [False, True], ids=["fresh", "ws"])
+    @pytest.mark.parametrize("n", [1, 2, 77])
+    @pytest.mark.parametrize("act", ["sigmoid", "relu", "tanh", "linear"])
+    def test_one_net(self, act, n, ws):
+        rng = np.random.default_rng(n)
+        net = DenseNet.create([5, 7, 4, 3], [act] * 3, rng)
+        ref = net.copy()
+        net_ws, ref_ws = ({}, {}) if ws else (None, None)
+        adam, ref_adam = net.adam_state(), ref.adam_state()
+        for step in range(3):
+            x = rng.standard_normal((n, 5))
+            out, cache = net.forward(x, net_ws)
+            ref_out, ref_cache = _reference_forward(ref, x, ref_ws)
+            assert _bits([out, *sum(cache, ())]) == _bits([ref_out, *sum(ref_cache, ())])
+            g = rng.standard_normal(out.shape)
+            for kw in ({}, {"params": False}, {"inputs": False}):
+                grads, gx = net.backward(cache, g, net_ws, **kw)
+                ref_grads, ref_gx = _reference_backward(ref, ref_cache, g, ref_ws, **kw)
+                assert _bits([gx]) == _bits([ref_gx])
+                assert (grads is None) == (ref_grads is None)
+                assert _bits(sum(grads or [], ())) == _bits(sum(ref_grads or [], ()))
+            net.adam_step(adam, grads, lr=1e-2, ascend=step == 1)
+            _reference_adam_step(ref, ref_adam, ref_grads, lr=1e-2, ascend=step == 1)
+            assert net.params.tobytes() == ref.params.tobytes()
 
 
 class TestDenseNet:
