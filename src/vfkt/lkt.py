@@ -22,8 +22,7 @@ import numpy as np
 
 from .data import ConfigError, FeatureMatrix, standardize_columns
 from .frl import FederatedRepresentation
-from .numerics import (ACTIVATIONS, AdamState, Array, DenseNet, _act, _act_grad, _buf,
-                       logmeanexp, softmax_rows)
+from .numerics import ACTIVATIONS, AdamState, Array, DenseNet, _buf, logmeanexp, softmax_rows
 
 CHECKPOINT_VERSION = 3
 
@@ -464,18 +463,6 @@ def contrastive_loss(models: list[LktModel], x: Array, targets: list[Array], i: 
     return float(_contrastive(sims, contrastive_temperature(m.temperature for m in models))[1][i])
 
 
-def _stacked_layers(flat: Array, net: DenseNet) -> list[tuple[Array, Array]]:
-    """(K, fan_in, fan_out) weight and (K, fan_out) bias views of each layer
-    in ``flat``, K parameter buffers laid out as ``net.params`` stacked as rows."""
-    views, start = [], 0
-    for l in net.layers:
-        w = flat[:, start:start + l.w.size].reshape(-1, *l.w.shape)
-        start += l.w.size
-        views.append((w, flat[:, start:start + l.b.size]))
-        start += l.b.size
-    return views
-
-
 def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
                              config: LktConfig, seed) -> list[LktModel]:
     """Push each pair encoder toward its own readout and away from the others.
@@ -487,10 +474,9 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
     step is taken, and the history records a zero loss per epoch.
 
     The K encoders, which must share model 0's layout, step as one stacked
-    network: their parameters are rows of one (K, P) array, every layer is
-    a batched matmul over the shared input rows, and one Adam update steps
-    all K rows. The result is bit for bit that of stepping each encoder on
-    its own.
+    ``DenseNet``: per batch, one forward pass over the shared input rows,
+    one backward pass and one Adam step cover all K encoders. The result is
+    bit for bit that of stepping each encoder on its own.
     """
     tau = contrastive_temperature(m.temperature for m in models)
     check_encoder_layout(models, models[0].enc.layout, "model 0's")
@@ -503,41 +489,24 @@ def lkt_finetune_contrastive(models: list[LktModel], h_t_nl: FeatureMatrix,
     x = h_t_nl.values
     targets = np.stack([_readout(m, x, config.batch_size) for m in models])  # (K, N, d)
 
-    params = np.stack([m.enc.params for m in models])
-    grads = np.empty_like(params)
-    layers = _stacked_layers(params, models[0].enc)
-    grad_layers = _stacked_layers(grads, models[0].enc)
-    acts = [l.activation for l in models[0].enc.layers]
-    adam = AdamState.like(params)
+    net = DenseNet.stack([m.enc for m in models])
+    adam = net.adam_state()
     rng = np.random.default_rng(seed)
     losses: list[float] = []
     for _ in range(config.finetune_epochs):
         ep_loss, n_batches = 0.0, 0
         for idx in _batches(x.shape[0], config.batch_size, rng):
-            a, cache = x[idx], []  # the first matmul broadcasts the shared rows
-            for (w, b), act in zip(layers, acts):
-                z = np.matmul(a, w)
-                z += b[:, None]
-                a_next = _act(act, z)
-                cache.append((a, a_next))
-                a = a_next
-            sims, g = _mean_cosine_and_grad(a, targets[:, idx])
+            e, cache = net.forward(np.broadcast_to(x[idx], (n, idx.size, x.shape[1])))
+            sims, g = _mean_cosine_and_grad(e, targets[:, idx])
             p, pair_losses = _contrastive(sims, tau)
             # only enc_i's own similarity backprops: d(loss_i)/d(sim_i) = (p_i - 1) / tau
             g *= ((p - 1.0) / tau)[:, None, None]
-            for i in range(len(layers) - 1, -1, -1):
-                a_in, a_out = cache[i]
-                gz = g if acts[i] == "linear" else g * _act_grad(acts[i], a_out)
-                gw, gb = grad_layers[i]
-                np.matmul(np.swapaxes(a_in, -1, -2), gz, out=gw)
-                np.sum(gz, axis=-2, out=gb)
-                if i > 0:
-                    g = np.matmul(gz, np.swapaxes(layers[i][0], -1, -2))
-            params[:] = adam.update(params, grads, config.finetune_lr)
+            grads, _ = net.backward(cache, g, inputs=False)
+            net.adam_step(adam, grads, config.finetune_lr)
             ep_loss += sum(pair_losses) / n
             n_batches += 1
         losses.append(ep_loss / max(n_batches, 1))
-    for m, row in zip(models, params):
+    for m, row in zip(models, net.params):
         m.enc.params[:] = row
         m.history = {**m.history, "contrastive": list(losses)}
     return models
@@ -627,23 +596,27 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
 
 def load_models(path):
     """Returns (models, config_hash); rejects, naming the model by its index
-    and its provenance, a missing or unknown key, a bad encoder, mismatched
-    schema widths, non-finite keys and a temperature that is not finite and
-    > 0."""
+    and its provenance, a missing or unknown key, a value of the wrong JSON
+    type, a bad encoder, mismatched schema widths, non-finite keys and a
+    temperature that is not finite and > 0."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}; "
                          f"this build reads version {CHECKPOINT_VERSION}")
-    entry_keys = {"enc", "keys", "temperature", "provenance", "nl_columns"}
+    entry_types = {"enc": dict, "keys": list, "temperature": (int, float), "provenance": str,
+                   "nl_columns": list}
     models = []
     for i, md in enumerate(doc["models"]):
         name = f"{i} {md['provenance']!r}" if "provenance" in md else f"{i}"
         try:
-            for what, names in (("missing", entry_keys - md.keys()),
-                                ("unknown", md.keys() - entry_keys)):
+            for what, names in (("missing", entry_types.keys() - md.keys()),
+                                ("unknown", md.keys() - entry_types.keys())):
                 if names:
                     raise ValueError(f"{what} key(s) {sorted(names)}")
+            for key, kind in entry_types.items():
+                if not isinstance(md[key], kind):
+                    raise ValueError(f"{key!r} has the wrong JSON type ({type(md[key]).__name__})")
             enc = DenseNet.from_dict(md["enc"])
             keys = np.asarray(md["keys"], dtype=float)
             temperature = float(md["temperature"])

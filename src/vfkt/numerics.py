@@ -238,8 +238,8 @@ class AdamState:
 
 @dataclass
 class DenseLayer:
-    w: Array  # (fan_in, fan_out)
-    b: Array  # (fan_out,)
+    w: Array  # (fan_in, fan_out), or (K, fan_in, fan_out) in a stacked net
+    b: Array  # (fan_out,), or (K, fan_out)
     activation: str
 
 
@@ -257,25 +257,32 @@ class DenseNet:
     raises if one has been); unpickling goes through ``__init__``, which
     makes them views again. A net holds parameters only: the Adam moments
     belong to the loop that steps it, which makes them with ``adam_state``.
+
+    ``stack`` makes one net of K nets of one layout: ``params`` is (K, P),
+    row k laid out as net k's, ``w`` and ``b`` are (K, fan_in, fan_out) and
+    (K, fan_out) views, the input is (K, n, fan_in) and every other array
+    gains the leading K axis. Each row steps bit for bit as its own net.
     """
 
     def __init__(self, layers: list[DenseLayer]):
         for i, l in enumerate(layers):
             if l.activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {l.activation!r}")
-            if l.w.ndim != 2 or l.b.shape != l.w.shape[1:]:
+            if l.w.ndim not in (2, 3) or l.b.shape != l.w.shape[:-2] + l.w.shape[-1:]:
                 raise ValueError(f"bias of shape {l.b.shape} for weights of shape {l.w.shape}")
-            if i and layers[i - 1].w.shape[1] != l.w.shape[0]:
+            if i and layers[i - 1].b.shape != l.w.shape[:-1]:
                 raise ValueError("consecutive layer dimensions do not chain")
         self.layers = layers
         self.params = np.concatenate(
-            [np.ravel(x) for l in layers for x in (l.w, l.b)], dtype=float)
+            [x for l in layers for x in (l.w.reshape(l.b.shape[:-1] + (-1,)), l.b)], axis=-1,
+            dtype=float)
         start = 0
         for l in layers:
-            l.w = self.params[start:start + l.w.size].reshape(l.w.shape)
-            start += l.w.size
-            l.b = self.params[start:start + l.b.size]
-            start += l.b.size
+            fan_in, fan_out = l.w.shape[-2:]
+            l.w = self.params[..., start:start + fan_in * fan_out].reshape(l.w.shape)
+            start += fan_in * fan_out
+            l.b = self.params[..., start:start + fan_out]
+            start += fan_out
 
     @classmethod
     def create(cls, sizes: list[int], activations: list[str], rng) -> "DenseNet":
@@ -289,13 +296,22 @@ class DenseNet:
             layers.append(DenseLayer(w=w, b=np.zeros(fan_out), activation=act))
         return cls(layers)
 
+    @classmethod
+    def stack(cls, nets: list["DenseNet"]) -> "DenseNet":
+        """The stacked net whose row k is a copy of ``nets[k]``; all share one layout."""
+        if any(n.layout != nets[0].layout for n in nets):
+            raise ValueError("stacked nets must share one layout")
+        return cls([DenseLayer(np.stack([l.w for l in ls]), np.stack([l.b for l in ls]),
+                               ls[0].activation)
+                    for ls in zip(*(n.layers for n in nets))])
+
     @property
     def input_dim(self) -> int:
-        return self.layers[0].w.shape[0]
+        return self.layers[0].w.shape[-2]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].w.shape[1]
+        return self.layers[-1].w.shape[-1]
 
     @property
     def layout(self) -> tuple:
@@ -315,14 +331,16 @@ class DenseNet:
         without it.
         """
         x = np.asarray(x, dtype=float)
-        if x.shape[1] != self.input_dim:
+        if x.shape[-1] != self.input_dim:
             raise ValueError(
-                f"input width {x.shape[1]} != expected {self.input_dim}")
+                f"input width {x.shape[-1]} != expected {self.input_dim}")
         cache = []
         a = x
         for i, layer in enumerate(self.layers):
-            z = np.matmul(a, layer.w, out=_buf(ws, ("z", i), (a.shape[0], layer.w.shape[1])))
-            z += layer.b  # in place: no second output-sized array
+            # no shape tuple without ws: training runs this thousands of times on small nets
+            out = None if ws is None else _buf(ws, ("z", i), a.shape[:-1] + layer.w.shape[-1:])
+            z = np.matmul(a, layer.w, out=out)
+            z += layer.b[..., None, :]  # in place: no second output-sized array
             a_next = _act(layer.activation, z)
             cache.append((a, a_next))
             a = a_next
@@ -347,9 +365,9 @@ class DenseNet:
                 gz = np.multiply(g, _act_grad(layer.activation, a_out),
                                  out=_buf(ws, ("gz", i), g.shape))
             if params:
-                grads[i] = (a_in.T @ gz, gz.sum(axis=0))
+                grads[i] = (a_in.swapaxes(-1, -2) @ gz, gz.sum(axis=-2))
             if i > 0 or inputs:
-                g = np.matmul(gz, layer.w.T, out=_buf(ws, ("g", i), a_in.shape))
+                g = np.matmul(gz, layer.w.swapaxes(-1, -2), out=_buf(ws, ("g", i), a_in.shape))
         return (grads if params else None), (g if inputs else None)
 
     def adam_state(self) -> AdamState:
@@ -367,7 +385,8 @@ class DenseNet:
                 raise RuntimeError(
                     "a layer's w or b was rebound away from the net's parameter "
                     "buffer; modify parameters in place")
-        flat = np.concatenate([np.ravel(x) for pair in grads for x in pair])
+        rows = self.params.shape[:-1] + (-1,)
+        flat = np.concatenate([x.reshape(rows) for pair in grads for x in pair], axis=-1)
         if ascend:
             flat = -flat
         self.params[:] = state.update(self.params, flat, lr)
@@ -388,7 +407,11 @@ class DenseNet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenseNet":
+        """The one net ``to_dict`` wrote; stacked (3-D) weights are rejected."""
         try:
+            if not (isinstance(d["layers"], list)
+                    and all(isinstance(l, dict) for l in d["layers"])):
+                raise ValueError("network layers must be a list of objects")
             layers = [
                 DenseLayer(np.asarray(l["w"], dtype=float), np.asarray(l["b"], dtype=float),
                            l["activation"])
@@ -396,6 +419,9 @@ class DenseNet:
             ]
         except KeyError as exc:
             raise ValueError(f"network is missing key {exc.args[0]!r}") from None
+        for l in layers:
+            if l.w.ndim != 2:
+                raise ValueError(f"weights of shape {l.w.shape} are not a matrix")
         if not all(np.all(np.isfinite(x)) for l in layers for x in (l.w, l.b)):
             raise ValueError("network weights are not finite")
         return cls(layers)

@@ -565,19 +565,22 @@ class TestFinetune:
         assert want[0].enc.params.tobytes() != models[0].enc.params.tobytes()
 
     def test_steps_no_encoder_on_its_own(self, monkeypatch):
-        calls = {"backward": 0, "adam_step": 0}
-        for name in calls:
+        # one backward pass and one Adam step per batch, each on the stacked
+        # net of all 5 encoders, and none on a single encoder
+        shapes = {"backward": [], "adam_step": []}
+        for name in shapes:
             real = getattr(DenseNet, name)
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+            def counted(net, *args, _real=real, _name=name, **kwargs):
+                shapes[_name].append(net.params.shape)
+                return _real(net, *args, **kwargs)
 
             monkeypatch.setattr(DenseNet, name, counted)
         cfg = LktConfig(latent_dim=3, hidden_width=6, batch_size=16, finetune_epochs=1)
         models, x = self._untrained(5, 64, cfg)
         out = lkt_finetune_contrastive(models, x, cfg, seed=0)
-        assert calls == {"backward": 0, "adam_step": 0}
+        stacked = [(5, models[0].enc.params.size)] * 4  # 64 rows in batches of 16
+        assert shapes == {"backward": stacked, "adam_step": stacked}
         assert out[0].enc.params.tobytes() != models[0].enc.params.tobytes()
 
     @pytest.mark.parametrize("edit, layout", [
@@ -805,10 +808,32 @@ class TestCheckpoints:
         ({}, "network is missing key 'layers'"),
         ({"layers": [{"w": [[0.0, 0.0]] * 4, "b": [0.0, 0.0]}]},
          "network is missing key 'activation'"),
-    ], ids=["no-layers", "no-activation"])
+        ({"layers": 5}, "network layers must be a list of objects"),
+    ], ids=["no-layers", "no-activation", "layers-not-a-list"])
     def test_rejects_a_malformed_encoder(self, tmp_path, enc, match):
         with pytest.raises(ValueError, match=re.escape(f"checkpoint model 1 'pair-1': {match}")):
             load_models(self._tampered(tmp_path, "enc", enc))
+
+    def test_rejects_stacked_encoder_weights(self, tmp_path):
+        # a one-row stacked net is a valid DenseNet, but no checkpoint's encoder
+        stacked = DenseNet.stack([self._models()[1].enc]).to_dict()
+        match = re.escape("weights of shape (1, 4, 3) are not a matrix")
+        with pytest.raises(ValueError, match=match):
+            DenseNet.from_dict(stacked)
+        with pytest.raises(ValueError, match="checkpoint model 1 'pair-1': " + match):
+            load_models(self._tampered(tmp_path, "enc", stacked))
+
+    @pytest.mark.parametrize("key, value, name, kind", [
+        ("enc", [1], "1 'pair-1'", "list"),
+        ("nl_columns", 2, "1 'pair-1'", "int"),
+        ("temperature", "0.5", "1 'pair-1'", "str"),
+        ("provenance", 7, "1 7", "int"),
+    ], ids=["enc-not-an-object", "numeric-nl-columns", "temperature-a-string",
+            "numeric-provenance"])
+    def test_rejects_a_value_of_the_wrong_type(self, tmp_path, key, value, name, kind):
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint model {name}: '{key}' has the wrong JSON type ({kind})")):
+            load_models(self._tampered(tmp_path, key, value))
 
     @pytest.mark.parametrize("key", ["enc", "keys", "temperature", "nl_columns", "provenance"])
     def test_rejects_a_missing_key(self, tmp_path, key):

@@ -340,6 +340,41 @@ class TestDenseNetMatchesTheReferenceLoop:
             _reference_adam_step(ref, ref_adam, ref_grads, lr=1e-2, ascend=step == 1)
             assert net.params.tobytes() == ref.params.tobytes()
 
+    @pytest.mark.parametrize("ws", [False, True], ids=["fresh", "ws"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-rows", "own-rows"])
+    @pytest.mark.parametrize("n", [1, 2, 77])
+    def test_each_row_of_a_stacked_net(self, n, shared, ws):
+        rng = np.random.default_rng(n)
+        nets = [DenseNet.create([5, 6, 4, 3, 2], ["sigmoid", "relu", "tanh", "linear"], rng)
+                for _ in range(3)]
+        stacked = DenseNet.stack(nets)
+        assert stacked.params.shape == (3, nets[0].params.size)
+        assert stacked.input_dim == 5 and stacked.output_dim == 2
+        stacked_ws = {} if ws else None
+        adam, ref_adams = stacked.adam_state(), [net.adam_state() for net in nets]
+        for step in range(3):
+            x = rng.standard_normal((n, 5) if shared else (3, n, 5))
+            x = np.broadcast_to(x, (3, n, 5))
+            out, cache = stacked.forward(x, stacked_ws)
+            g = rng.standard_normal(out.shape)
+            grads, gx = stacked.backward(cache, g, stacked_ws)
+            for k, (net, ref_adam) in enumerate(zip(nets, ref_adams)):
+                ref_out, ref_cache = _reference_forward(net, x[k])
+                ref_grads, ref_gx = _reference_backward(net, ref_cache, g[k])
+                assert _bits([out[k], gx[k]]) == _bits([ref_out, ref_gx])
+                assert _bits(t[k] for pair in cache for t in pair) == _bits(sum(ref_cache, ()))
+                assert _bits(t[k] for pair in grads for t in pair) == _bits(sum(ref_grads, ()))
+                _reference_adam_step(net, ref_adam, ref_grads, lr=1e-2, ascend=step == 1)
+            stacked.adam_step(adam, grads, lr=1e-2, ascend=step == 1)
+            assert _bits(stacked.params) == _bits(net.params for net in nets)
+
+    def test_stacked_nets_share_one_layout(self):
+        rng = np.random.default_rng(0)
+        nets = [DenseNet.create([3, 4, 2], ["tanh", "linear"], rng) for _ in range(2)]
+        nets.append(DenseNet.create([3, 4, 2], ["relu", "linear"], rng))
+        with pytest.raises(ValueError, match="one layout"):
+            DenseNet.stack(nets)
+
 
 class TestDenseNet:
     def test_forward_shapes(self):
