@@ -80,7 +80,6 @@ class TrainingPair:
     phi: Array  # (|X_fed| x d)
     mine: DenseNet
     mi_weight: float
-    temperature: float
 
 
 @dataclass
@@ -216,11 +215,12 @@ def _dv_upstream(t: Array, n: int) -> Array:
 
 
 def _critic_grads(net: DenseNet, pairs: Array, ws: dict | None = None):
-    """Per-layer gradients of the DV bound on ``_stack_pairs`` rows with
-    respect to the critic's parameters: one forward and one backward pass."""
+    """Gradient of -DV, the critic's loss, on ``_stack_pairs`` rows with
+    respect to its parameters: one forward and one backward pass. The
+    negation is exact, so its descent is the bound's ascent bit for bit."""
     t, cache = net.forward(pairs, ws)
-    grads, _ = net.backward(cache, _dv_upstream(t, pairs.shape[0] // 2), ws, inputs=False)
-    return grads
+    grad, _ = net.backward(cache, -_dv_upstream(t, pairs.shape[0] // 2), ws, inputs=False)
+    return grad
 
 
 def _critic(n_in: int, config: LktConfig, rng) -> DenseNet:
@@ -247,7 +247,7 @@ def train_mine(p: Array, q: Array, steps: int, seed) -> DenseNet:
     for _ in range(steps):
         shift = int(rng.integers(1, n))
         net.adam_step(adam, _critic_grads(net, _stack_pairs(p, q, shift), ws),
-                      config.learning_rate, ascend=True)
+                      config.learning_rate)
     return net
 
 
@@ -281,13 +281,9 @@ def check_encoder_layout(models: list[LktModel], want: tuple, whose: str) -> Non
                              f"differs from {whose} {want}")
 
 
-def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed,
-                provenance: str, nl_columns, recon_columns) -> TrainingPair:
-    """Freshly drawn networks for pair ``provenance``, whose encoder reads
-    ``nl_columns`` and whose decoder rebuilds ``recon_columns``."""
-    if (len(nl_columns), len(recon_columns)) != (n_nl, n_rec):
-        raise ValueError(f"pair {provenance!r}: {len(nl_columns)} input and {len(recon_columns)} "
-                         f"reconstruction column names for widths {n_nl} and {n_rec}")
+def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed) -> TrainingPair:
+    """Freshly drawn networks for one pair: an encoder of ``n_nl`` columns, a
+    decoder of ``n_rec``, attention over ``n_fed`` federated columns, a critic."""
     rng = np.random.default_rng(seed)
     sizes = _encoder_sizes(n_nl, config)
     d = sizes[-1]
@@ -295,8 +291,7 @@ def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed,
     dec = DenseNet.create([d, *sizes[1:-1], n_rec], _PAIR_ACTIVATIONS, rng)
     mine = _critic(2 * d, config, rng)
     phi = rng.standard_normal((n_fed, d)) / np.sqrt(n_fed)
-    return TrainingPair(enc=enc, dec=dec, phi=phi, mine=mine, mi_weight=float(config.mi_weight),
-                        temperature=config.temperature)
+    return TrainingPair(enc=enc, dec=dec, phi=phi, mine=mine, mi_weight=float(config.mi_weight))
 
 
 def loss_and_grads(pair: TrainingPair, x_nl: Array, x_rec: Array, h_fed: Array, shift: int,
@@ -305,10 +300,10 @@ def loss_and_grads(pair: TrainingPair, x_nl: Array, x_rec: Array, h_fed: Array, 
 
     The critic is treated as fixed here; its ascent step is separate, and
     its weight gradients are not formed. Returns (loss, {"recons": ..,
-    "mi": ..}, grads) where grads holds per-layer (dW, db) lists for enc/dec
-    and the dense phi gradient. ``ws`` holds the attention's n x |h_fed|
-    buffers from one call to the next (see ``_attend``); the results are
-    the same without it.
+    "mi": ..}, grads) where grads holds the enc/dec gradients, each laid
+    out as its net's ``params``, and the dense phi gradient. ``ws`` holds
+    the attention's n x |h_fed| buffers from one call to the next (see
+    ``_attend``); the results are the same without it.
     """
     d = pair.enc.output_dim
     n = x_nl.shape[0]
@@ -341,20 +336,18 @@ def loss_and_grads(pair: TrainingPair, x_nl: Array, x_rec: Array, h_fed: Array, 
     d_query, d_phi = _attention_backward(attn_cache, d_z, h_fed, ws)
     enc_grads_nl, _ = pair.enc.backward(cache_nl, d_p + d_query, inputs=False)
 
-    enc_grads = [(a + c, b + e) for (a, b), (c, e) in zip(enc_grads_rec, enc_grads_nl)]
     return loss, {"recons": l_rec, "mi": l_mi}, {
-        "enc": enc_grads, "dec": dec_grads, "phi": d_phi,
+        "enc": enc_grads_rec + enc_grads_nl, "dec": dec_grads, "phi": d_phi,
     }
 
 
 def _mine_ascent(pair: TrainingPair, adam: AdamState, x_nl: Array, h_fed: Array, shift: int,
                  lr: float, ws: dict | None = None):
-    """Critic ascent step on the batch, after the pair's update: the
-    encoder and attention forward passes are rerun with the new weights."""
+    """Critic step on the batch, a descent on -DV, after the pair's update:
+    the encoder and attention forward passes are rerun with the new weights."""
     e_nl, _ = pair.enc.forward(x_nl)
     z, _ = _attend(e_nl, h_fed @ pair.phi, ws)
-    pair.mine.adam_step(adam, _critic_grads(pair.mine, _stack_pairs(e_nl, z, shift)), lr,
-                        ascend=True)
+    pair.mine.adam_step(adam, _critic_grads(pair.mine, _stack_pairs(e_nl, z, shift)), lr)
 
 
 def _batches(n: int, batch_size: int, rng):
@@ -380,8 +373,7 @@ def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
     # Factorization outputs have orthonormal columns (entries ~ 1/sqrt(n)),
     # which would flatten the attention softmax; rescale to unit variance.
     fed = standardize_columns(h_fed.matrix)[0]
-    pair = build_model(h_t_nl.n_cols, rec.n_cols, fed.shape[1], config, seed,
-                       provenance, h_t_nl.columns, rec.columns)
+    pair = build_model(h_t_nl.n_cols, rec.n_cols, fed.shape[1], config, seed)
     enc_adam, dec_adam, mine_adam = (net.adam_state() for net in (pair.enc, pair.dec, pair.mine))
     phi_adam = AdamState.like(pair.phi)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -417,7 +409,7 @@ def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
             raise ValueError("batch size produced no usable batches")
         for key, total in totals.items():
             history[key].append(total / n_batches)
-    return LktModel(enc=pair.enc, keys=fed @ pair.phi, temperature=pair.temperature,
+    return LktModel(enc=pair.enc, keys=fed @ pair.phi, temperature=config.temperature,
                     provenance=provenance, nl_columns=h_t_nl.columns, history=history)
 
 
@@ -595,28 +587,39 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
 
 
 def load_models(path):
-    """Returns (models, config_hash); rejects, naming the model by its index
-    and its provenance, a missing or unknown key, a value of the wrong JSON
-    type, a bad encoder, mismatched schema widths, non-finite keys and a
-    temperature that is not finite and > 0."""
+    """Returns (models, config_hash); rejects a document that is not an
+    object with a ``models`` list and a ``config_hash`` string and, naming
+    the model by its index and its provenance, an entry that is not an
+    object, a missing or unknown key, a value of the wrong JSON type, a
+    non-string column name, a bad encoder, mismatched schema widths,
+    non-finite keys and a temperature that is not finite and > 0."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}; "
                          f"this build reads version {CHECKPOINT_VERSION}")
+    for key, kind in (("models", list), ("config_hash", str)):
+        if not isinstance(doc.get(key), kind):
+            raise ValueError(f"checkpoint {key!r} is missing or has the wrong JSON type")
     entry_types = {"enc": dict, "keys": list, "temperature": (int, float), "provenance": str,
                    "nl_columns": list}
     models = []
     for i, md in enumerate(doc["models"]):
-        name = f"{i} {md['provenance']!r}" if "provenance" in md else f"{i}"
+        name = f"{i} {md['provenance']!r}" if isinstance(md, dict) and "provenance" in md else i
         try:
+            if not isinstance(md, dict):
+                raise ValueError("not a JSON object")
             for what, names in (("missing", entry_types.keys() - md.keys()),
                                 ("unknown", md.keys() - entry_types.keys())):
                 if names:
                     raise ValueError(f"{what} key(s) {sorted(names)}")
             for key, kind in entry_types.items():
-                if not isinstance(md[key], kind):
+                if isinstance(md[key], bool) or not isinstance(md[key], kind):
                     raise ValueError(f"{key!r} has the wrong JSON type ({type(md[key]).__name__})")
+            if not all(isinstance(c, str) for c in md["nl_columns"]):
+                raise ValueError("'nl_columns' holds a name that is not a string")
             enc = DenseNet.from_dict(md["enc"])
             keys = np.asarray(md["keys"], dtype=float)
             temperature = float(md["temperature"])

@@ -246,10 +246,10 @@ class DenseLayer:
 class DenseNet:
     """A stack of dense layers with manual forward/backward and Adam steps.
 
-    ``backward`` returns per-layer (dW, db) gradients plus the gradient with
-    respect to the network input, so nets can be chained (encoder feeding an
-    attention block feeding a critic, etc.); either part can be skipped when
-    the caller discards it.
+    ``backward`` returns the gradients with respect to the parameters, laid
+    out as ``params`` for ``adam_step``, and to the network input, so nets
+    can be chained (encoder feeding an attention block feeding a critic,
+    etc.); either part can be skipped when the caller discards it.
 
     All weights and biases live in one flat buffer, ``params``, laid out as
     ``w_0, b_0, w_1, b_1, ...``; each layer's ``w`` and ``b`` are views into
@@ -348,13 +348,15 @@ class DenseNet:
 
     def backward(self, cache, grad_output: Array, ws: dict | None = None,
                  params: bool = True, inputs: bool = True):
-        """Returns ([(dW, db) per layer], grad_input); ``ws`` as in ``forward``.
+        """Returns (grad_params, grad_input), ``grad_params`` laid out as
+        ``params``; ``ws`` as in ``forward``.
 
-        ``params=False`` skips the weight gradients and ``inputs=False`` the
+        ``params=False skips the weight gradients and ``inputs=False`` the
         first layer's input gradient; the skipped part is returned as None.
         The part that is computed is the same either way.
         """
-        grads = [None] * len(self.layers)
+        grads = [None] * (2 * len(self.layers))
+        rows = self.params.shape[:-1] + (-1,)
         g = np.asarray(grad_output, dtype=float)
         for i in range(len(self.layers) - 1, -1, -1):
             a_in, a_out = cache[i]
@@ -365,31 +367,26 @@ class DenseNet:
                 gz = np.multiply(g, _act_grad(layer.activation, a_out),
                                  out=_buf(ws, ("gz", i), g.shape))
             if params:
-                grads[i] = (a_in.swapaxes(-1, -2) @ gz, gz.sum(axis=-2))
+                grads[2 * i] = (a_in.swapaxes(-1, -2) @ gz).reshape(rows)
+                grads[2 * i + 1] = gz.sum(axis=-2)
             if i > 0 or inputs:
                 g = np.matmul(gz, layer.w.swapaxes(-1, -2), out=_buf(ws, ("g", i), a_in.shape))
-        return (grads if params else None), (g if inputs else None)
+        return (np.concatenate(grads, axis=-1) if params else None), (g if inputs else None)
 
     def adam_state(self) -> AdamState:
         """Zero Adam moments over this net's parameters, for ``adam_step``."""
         return AdamState.like(self.params)
 
-    def adam_step(self, state: AdamState, grads, lr: float, ascend: bool = False) -> None:
-        """One Adam step of the parameters along ``grads``, advancing ``state``."""
-        if len(grads) != len(self.layers):
+    def adam_step(self, state: AdamState, grad: Array, lr: float) -> None:
+        """One Adam step down ``grad``, laid out as ``params``, advancing ``state``."""
+        if grad.shape != self.params.shape:
             raise ValueError("gradient shape mismatch")
-        for layer, (dw, db) in zip(self.layers, grads):
-            if dw.shape != layer.w.shape or db.shape != layer.b.shape:
-                raise ValueError("gradient shape mismatch")
+        for layer in self.layers:
             if layer.w.base is not self.params or layer.b.base is not self.params:
                 raise RuntimeError(
                     "a layer's w or b was rebound away from the net's parameter "
                     "buffer; modify parameters in place")
-        rows = self.params.shape[:-1] + (-1,)
-        flat = np.concatenate([x.reshape(rows) for pair in grads for x in pair], axis=-1)
-        if ascend:
-            flat = -flat
-        self.params[:] = state.update(self.params, flat, lr)
+        self.params[:] = state.update(self.params, grad, lr)
 
     def __reduce__(self):
         return DenseNet, (self.layers,)

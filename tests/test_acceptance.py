@@ -35,6 +35,7 @@ from vfkt.frl import (
 )
 from vfkt.lkt import (
     LktConfig,
+    LktModel,
     apply_to_new_samples,
     build_model,
     contrastive_loss,
@@ -152,7 +153,7 @@ def test_criterion_03_mine_analytic():
     assert elapsed < 30.0
 
 
-def test_criterion_04_gradient_integrity():
+def test_criterion_04_gradient_integrity(layer_grads):
     h = 1e-5
     failures = 0
     worst = 0.0
@@ -160,19 +161,17 @@ def test_criterion_04_gradient_integrity():
         rng = np.random.default_rng(seed)
         cfg = LktConfig(latent_dim=3, hidden_width=4, mine_hidden=(4, 4),
                         mi_weight=0.3)
-        model = build_model(n_nl=4, n_rec=4, n_fed=3, config=cfg, seed=seed,
-                            provenance="pair-0",
-                            nl_columns=[f"x{j}" for j in range(4)],
-                            recon_columns=[f"x{j}" for j in range(4)])
+        model = build_model(n_nl=4, n_rec=4, n_fed=3, config=cfg, seed=seed)
         x_nl = rng.normal(size=(4, 4))
         x_rec = rng.normal(size=(4, 4))
         h_fed = rng.normal(size=(6, 3))
         _, _, grads = loss_and_grads(model, x_nl, x_rec, h_fed, shift=2)
+        enc, dec = layer_grads(model.enc, grads["enc"]), layer_grads(model.dec, grads["dec"])
         checks = [
-            (model.enc.layers[0].w, grads["enc"][0][0]),
-            (model.enc.layers[2].b, grads["enc"][2][1]),
-            (model.dec.layers[0].w, grads["dec"][0][0]),
-            (model.dec.layers[2].b, grads["dec"][2][1]),
+            (model.enc.layers[0].w, enc[0][0]),
+            (model.enc.layers[2].b, enc[2][1]),
+            (model.dec.layers[0].w, dec[0][0]),
+            (model.dec.layers[2].b, dec[2][1]),
             (model.phi, grads["phi"]),
         ]
         for param, grad in checks:
@@ -299,12 +298,14 @@ def test_criterion_06_ablation_directions():
 def test_criterion_07_exact_identities():
     rng = np.random.default_rng(0)
     cfg = LktConfig(latent_dim=3, hidden_width=4, mine_hidden=(4, 4))
-    model = build_model(4, 4, 5, cfg, seed=0, provenance="p",
-                        nl_columns=list("abcd"), recon_columns=list("abcd"))
+    model = build_model(4, 4, 5, cfg, seed=0)
     x = rng.normal(size=(6, 4))
     target = cross_attention(model.enc.forward(x)[0],
                              rng.normal(size=(6, 5)), model.phi)
-    cl_zero = contrastive_loss([model], x, [target], 0) == 0.0
+    # contrastive_loss reads trained pair models: the encoder and the temperature
+    pair_model = LktModel(enc=model.enc, keys=target, temperature=cfg.temperature,
+                          provenance="p", nl_columns=tuple("abcd"))
+    cl_zero = contrastive_loss([pair_model], x, [target], 0) == 0.0
 
     critic = DenseNet.create([4, 3, 1], ["linear", "linear"],
                              np.random.default_rng(1))

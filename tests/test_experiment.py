@@ -15,7 +15,7 @@ from vfkt import lkt
 from vfkt.bus import MessageBus
 from vfkt.cli import main
 from vfkt.data import (DataError, FeatureMatrix, OverlapIndex, PartyState, standardize,
-                       standardize_columns)
+                       standardize_columns, write_csv)
 from vfkt.experiment import (
     ConfigError,
     CsvSource,
@@ -406,6 +406,22 @@ class TestPipeline:
         # persisted config reproduces the in-memory one
         assert ExperimentConfig.from_dict(
             json.loads((out / "config.json").read_text())) == cfg
+
+    def test_csv_tables_run_as_the_synthetic_spec_that_wrote_them(self, tmp_path):
+        cfg = _tiny_config(synthetic=replace(_tiny_config().synthetic, data_features=(4, 3)))
+        task, parties = generate_synthetic(cfg.synthetic)
+        write_csv(tmp_path / "task.csv", task.features, task.labels)
+        for p in parties:
+            write_csv(tmp_path / f"{p.party_id}.csv", p.features)
+        csv_cfg = replace(cfg, synthetic=None, csv=CsvSource(
+            task_path=str(tmp_path / "task.csv"),
+            data_paths=tuple(str(tmp_path / f"{p.party_id}.csv") for p in parties)))
+        want = run_experiment(cfg, tmp_path / "synthetic")
+        got = run_experiment(csv_cfg, tmp_path / "csv")
+        assert [(r.condition, r.accuracies) for r in got] == [
+            (r.condition, r.accuracies) for r in want]
+        assert ((tmp_path / "csv" / "trace.jsonl").read_bytes()
+                == (tmp_path / "synthetic" / "trace.jsonl").read_bytes())
 
     def test_a_diverging_pair_names_its_condition_and_seed(self):
         cfg = _tiny_config(lkt=replace(_tiny_config().lkt, reconstruction_source="local"))

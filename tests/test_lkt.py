@@ -62,8 +62,7 @@ def _feature_matrix(values, prefix="s"):
 def _pair_model(k, cfg, columns, n_keys):
     """An untrained pair model: ``build_model``'s encoder over ``columns``,
     with random attention keys."""
-    pair = build_model(len(columns), len(columns), 5, cfg, seed=k, provenance=f"pair-{k}",
-                       nl_columns=columns, recon_columns=columns)
+    pair = build_model(len(columns), len(columns), 5, cfg, seed=k)
     keys = np.random.default_rng(10 + k).normal(size=(n_keys, pair.enc.output_dim))
     return LktModel(enc=pair.enc, keys=keys, temperature=cfg.temperature,
                     provenance=f"pair-{k}", nl_columns=tuple(columns))
@@ -219,15 +218,17 @@ class TestMine:
         np.testing.assert_array_equal(_stack_pairs(p, q, 2), expected)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_critic_gradient_matches_finite_differences(self, activation):
-        # the ascent step's gradient is that of the bound mine_estimate reads
+    def test_critic_gradient_matches_finite_differences(self, activation, layer_grads):
+        # the critic descends -DV: its gradient is minus that of the bound
+        # mine_estimate reads
         rng = np.random.default_rng(3)
         net = DenseNet.create([4, 5, 5, 1], [activation, activation, "linear"], rng)
         p, q = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
         shift = int(np.random.default_rng(0).integers(1, 7))  # mine_estimate's, rng=0
-        grads = _critic_grads(net, _stack_pairs(p, q, shift))
+        critic_grad = _critic_grads(net, _stack_pairs(p, q, shift))
+        assert critic_grad.shape == net.params.shape
         h = 1e-6
-        for layer, (dw, db) in zip(net.layers, grads, strict=True):
+        for layer, (dw, db) in zip(net.layers, layer_grads(net, critic_grad), strict=True):
             for param, grad in ((layer.w, dw), (layer.b, db)):
                 flat, g = param.reshape(-1), grad.reshape(-1)
                 for k in range(flat.size):
@@ -237,7 +238,7 @@ class TestMine:
                     flat[k] = orig - h
                     down = mine_estimate(net, p, q, rng=0)
                     flat[k] = orig
-                    fd = (up - down) / (2 * h)
+                    fd = -(up - down) / (2 * h)
                     assert abs(fd - g[k]) <= 1e-6 * max(1.0, abs(fd)), (k, fd, g[k])
 
     def test_needs_two_samples(self):
@@ -275,15 +276,13 @@ class TestLossAndGrads:
         rng = np.random.default_rng(seed)
         cfg = LktConfig(latent_dim=3, hidden_width=4, mine_hidden=(4, 4),
                         mi_weight=0.3)
-        model = build_model(n_nl=4, n_rec=4, n_fed=3, config=cfg, seed=seed,
-                            provenance="pair-0", nl_columns=[f"x{j}" for j in range(4)],
-                            recon_columns=[f"x{j}" for j in range(4)])
+        model = build_model(n_nl=4, n_rec=4, n_fed=3, config=cfg, seed=seed)
         x_nl = rng.normal(size=(5, 4))
         x_rec = rng.normal(size=(5, 4))
         h_fed = rng.normal(size=(6, 3))
         return model, x_nl, x_rec, h_fed
 
-    def test_gradients_match_finite_differences(self):
+    def test_gradients_match_finite_differences(self, layer_grads):
         h = 1e-5
         for seed in range(10):
             model, x_nl, x_rec, h_fed = self._setup(seed)
@@ -292,10 +291,11 @@ class TestLossAndGrads:
             def loss_at():
                 return loss_and_grads(model, x_nl, x_rec, h_fed, shift=2)[0]
 
+            enc, dec = layer_grads(model.enc, grads["enc"]), layer_grads(model.dec, grads["dec"])
             checks = [
-                (model.enc.layers[0].w, grads["enc"][0][0]),
-                (model.enc.layers[2].b, grads["enc"][2][1]),
-                (model.dec.layers[0].w, grads["dec"][0][0]),
+                (model.enc.layers[0].w, enc[0][0]),
+                (model.enc.layers[2].b, enc[2][1]),
+                (model.dec.layers[0].w, dec[0][0]),
                 (model.phi, grads["phi"]),
             ]
             for param, grad in checks:
@@ -316,9 +316,6 @@ class TestLossAndGrads:
         model, _, _, h_fed = self._setup(0)
         rng = np.random.default_rng(1)
 
-        def leaves(grads):
-            return [x for pair in grads["enc"] + grads["dec"] for x in pair] + [grads["phi"]]
-
         ws = {}
         for n in (5, 3, 5):  # the buffers are reshaped between batch sizes
             x_nl, x_rec = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
@@ -326,8 +323,9 @@ class TestLossAndGrads:
             loss_ws, parts_ws, grads_ws = loss_and_grads(model, x_nl, x_rec, h_fed, shift=1, ws=ws)
             assert ws["attn"].shape == (n, h_fed.shape[0])
             assert (loss_ws, parts_ws) == (loss, parts)
-            for a, b in zip(leaves(grads), leaves(grads_ws), strict=True):
-                assert a.tobytes() == b.tobytes()
+            assert grads.keys() == grads_ws.keys() == {"enc", "dec", "phi"}
+            for key, grad in grads.items():
+                assert grad.tobytes() == grads_ws[key].tobytes()
 
     def test_loss_components_reported(self):
         model, x_nl, x_rec, h_fed = self._setup(0)
@@ -397,6 +395,36 @@ class TestLktTrain:
         np.testing.assert_array_equal(m1.enc.layers[0].w, m2.enc.layers[0].w)
         assert m1.history == m2.history
 
+    @staticmethod
+    def _tables(n_rows):
+        rng = np.random.default_rng(2)
+        x = _feature_matrix(rng.normal(size=(n_rows, 4)))
+        h_ol = _feature_matrix(rng.normal(size=(10, 4)), prefix="o")
+        cfg = LktConfig(latent_dim=2, epochs=3, hidden_width=4, mine_hidden=(4, 4),
+                        batch_size=10)
+        return x, h_ol, _fed(rng.normal(size=(10, 3))), cfg
+
+    def test_a_last_batch_of_one_row_is_skipped(self, monkeypatch):
+        # 21 rows in batches of 10: the 1-row batch has no marginal pair
+        sizes = []
+        real = lkt.loss_and_grads
+
+        def counted(pair, x_nl, *args, **kwargs):
+            sizes.append(x_nl.shape[0])
+            return real(pair, x_nl, *args, **kwargs)
+
+        monkeypatch.setattr(lkt, "loss_and_grads", counted)
+        x, h_ol, fed, cfg = self._tables(21)
+        model = lkt_train(h_ol, x, fed, cfg, seed=0)
+        assert sizes == [10, 10] * cfg.epochs
+        assert {k: len(v) for k, v in model.history.items()} == dict.fromkeys(
+            ("loss", "recons", "mi"), cfg.epochs)
+
+    def test_a_single_row_gives_no_usable_batch(self):
+        x, h_ol, fed, cfg = self._tables(1)
+        with pytest.raises(ValueError, match="^batch size produced no usable batches$"):
+            lkt_train(h_ol, x, fed, cfg, seed=0)
+
     def test_a_diverging_loss_is_an_error(self):
         # with float errors ignored, the overflow reaches the finite-loss
         # check instead of surfacing first as a RuntimeWarning
@@ -417,22 +445,14 @@ class TestConfig:
         # the MI weight is the loss's one weight, and a float also when set as an int
         for weight in (0.25, 1):
             pair = build_model(n_nl=2, n_rec=2, n_fed=3, config=LktConfig(mi_weight=weight),
-                               seed=0, provenance="p", nl_columns="ab", recon_columns="ab")
+                               seed=0)
             assert type(pair.mi_weight) is float and pair.mi_weight == weight
 
     def test_default_latent_matches_input(self):
         cfg = LktConfig()
-        model = build_model(n_nl=5, n_rec=5, n_fed=3, config=cfg, seed=0,
-                            provenance="p", nl_columns=list("abcde"),
-                            recon_columns=list("abcde"))
+        model = build_model(n_nl=5, n_rec=5, n_fed=3, config=cfg, seed=0)
         assert model.enc.output_dim == 5
         assert model.phi.shape == (3, 5)
-
-    def test_column_names_must_match_the_widths(self):
-        with pytest.raises(ValueError, match="'p': 3 input and 5 reconstruction column names "
-                                             "for widths 5 and 5"):
-            build_model(n_nl=5, n_rec=5, n_fed=3, config=LktConfig(), seed=0, provenance="p",
-                        nl_columns=list("abc"), recon_columns=list("abcde"))
 
 
 class TestFinetune:
@@ -828,12 +848,39 @@ class TestCheckpoints:
         ("nl_columns", 2, "1 'pair-1'", "int"),
         ("temperature", "0.5", "1 'pair-1'", "str"),
         ("provenance", 7, "1 7", "int"),
+        ("temperature", True, "1 'pair-1'", "bool"),
     ], ids=["enc-not-an-object", "numeric-nl-columns", "temperature-a-string",
-            "numeric-provenance"])
+            "numeric-provenance", "temperature-a-boolean"])
     def test_rejects_a_value_of_the_wrong_type(self, tmp_path, key, value, name, kind):
         with pytest.raises(ValueError, match=re.escape(
                 f"checkpoint model {name}: '{key}' has the wrong JSON type ({kind})")):
             load_models(self._tampered(tmp_path, key, value))
+
+    def test_rejects_column_names_that_are_not_strings(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(
+                "checkpoint model 1 'pair-1': 'nl_columns' holds a name that is not a string")):
+            load_models(self._tampered(tmp_path, "nl_columns", [1, 2, 3, 4]))
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: [1], "checkpoint is not a JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "models"},
+         "checkpoint 'models' is missing or has the wrong JSON type"),
+        (lambda doc: {**doc, "models": 5},
+         "checkpoint 'models' is missing or has the wrong JSON type"),
+        (lambda doc: {**doc, "models": [doc["models"][0], 5]},
+         "checkpoint model 1: not a JSON object"),
+        (lambda doc: {**doc, "config_hash": 5},
+         "checkpoint 'config_hash' is missing or has the wrong JSON type"),
+    ], ids=["document-a-list", "no-models", "models-a-number", "model-a-number",
+            "numeric-config-hash"])
+    def test_rejects_a_malformed_document(self, tmp_path, edit, match):
+        import json
+
+        path = tmp_path / "models.json"
+        save_models(path, self._models(), config_hash="h")
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match="^" + re.escape(match) + "$"):
+            load_models(path)
 
     @pytest.mark.parametrize("key", ["enc", "keys", "temperature", "nl_columns", "provenance"])
     def test_rejects_a_missing_key(self, tmp_path, key):

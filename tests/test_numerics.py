@@ -68,15 +68,18 @@ def _reference_backward(net, cache, grad_output, ws=None, params=True, inputs=Tr
     return (grads if params else None), (g if inputs else None)
 
 
-def _reference_adam_step(net, state, grads, lr, ascend=False):
+def _reference_adam_step(net, state, grads, lr):
     flat = np.concatenate([np.ravel(x) for pair in grads for x in pair])
-    if ascend:
-        flat = -flat
     net.params[:] = state.update(net.params, flat, lr)
 
 
 def _bits(arrays):
     return [None if a is None else np.asarray(a).tobytes() for a in arrays]
+
+
+def _concat_bits(grads):
+    """The bytes of per-layer (dW, db) gradients concatenated in ``params`` order."""
+    return b"".join(x.tobytes() for pair in grads for x in pair)
 
 
 class TestSvd:
@@ -199,6 +202,15 @@ class TestPowerIteration:
         res = power_iteration(lambda x: d @ x, iters=100, init=_start(2))
         assert abs(res.value - 2.0) < 1e-10
         np.testing.assert_allclose(np.abs(res.vector), [1.0, 0.0], atol=1e-8)
+
+    def test_init_in_the_null_space_restarts(self):
+        # A e2 = 0: the first round restarts from a perturbed init and adds no
+        # history entry; the next product lands on e1 exactly
+        d = np.diag([2.0, 0.0, 0.0])
+        res = power_iteration(lambda x: d @ x, iters=30, init=np.array([0.0, 1.0, 0.0]))
+        assert res.value == 2.0
+        np.testing.assert_array_equal(res.vector, [1.0, 0.0, 0.0])
+        assert len(res.value_history) == 29
 
     def test_analytic_2x2(self):
         # [[4,1],[1,3]] has top eigenvalue (7 + sqrt(5)) / 2
@@ -335,9 +347,11 @@ class TestDenseNetMatchesTheReferenceLoop:
                 ref_grads, ref_gx = _reference_backward(ref, ref_cache, g, ref_ws, **kw)
                 assert _bits([gx]) == _bits([ref_gx])
                 assert (grads is None) == (ref_grads is None)
-                assert _bits(sum(grads or [], ())) == _bits(sum(ref_grads or [], ()))
-            net.adam_step(adam, grads, lr=1e-2, ascend=step == 1)
-            _reference_adam_step(ref, ref_adam, ref_grads, lr=1e-2, ascend=step == 1)
+                if grads is not None:
+                    assert grads.shape == net.params.shape
+                    assert grads.tobytes() == _concat_bits(ref_grads)
+            net.adam_step(adam, grads, lr=1e-2)
+            _reference_adam_step(ref, ref_adam, ref_grads, lr=1e-2)
             assert net.params.tobytes() == ref.params.tobytes()
 
     @pytest.mark.parametrize("ws", [False, True], ids=["fresh", "ws"])
@@ -363,9 +377,10 @@ class TestDenseNetMatchesTheReferenceLoop:
                 ref_grads, ref_gx = _reference_backward(net, ref_cache, g[k])
                 assert _bits([out[k], gx[k]]) == _bits([ref_out, ref_gx])
                 assert _bits(t[k] for pair in cache for t in pair) == _bits(sum(ref_cache, ()))
-                assert _bits(t[k] for pair in grads for t in pair) == _bits(sum(ref_grads, ()))
-                _reference_adam_step(net, ref_adam, ref_grads, lr=1e-2, ascend=step == 1)
-            stacked.adam_step(adam, grads, lr=1e-2, ascend=step == 1)
+                assert grads[k].tobytes() == _concat_bits(ref_grads)
+                _reference_adam_step(net, ref_adam, ref_grads, lr=1e-2)
+            assert grads.shape == stacked.params.shape
+            stacked.adam_step(adam, grads, lr=1e-2)
             assert _bits(stacked.params) == _bits(net.params for net in nets)
 
     def test_stacked_nets_share_one_layout(self):
@@ -392,7 +407,7 @@ class TestDenseNet:
         np.testing.assert_allclose(out, x @ net.layers[0].w + net.layers[0].b,
                                    atol=1e-12)
 
-    def test_backward_matches_finite_differences(self):
+    def test_backward_matches_finite_differences(self, layer_grads):
         rng = np.random.default_rng(2)
         net = DenseNet.create([3, 5, 4, 2], ["sigmoid", "tanh", "linear"], rng)
         x = rng.standard_normal((6, 3))
@@ -402,7 +417,8 @@ class TestDenseNet:
             return float(np.sum(out ** 2))
 
         out, cache = net.forward(x)
-        grads, grad_x = net.backward(cache, 2 * out)
+        grad, grad_x = net.backward(cache, 2 * out)
+        grads = layer_grads(net, grad)
         h = 1e-6
         for li in (0, 2):
             w = net.layers[li].w
@@ -433,9 +449,8 @@ class TestDenseNet:
         only_params, no_x = net.backward(cache, g_out, inputs=False)
         assert no_params is None and no_x is None
         assert only_x.tobytes() == grad_x.tobytes()
-        assert len(only_params) == len(grads)
-        for (dw, db), (dw2, db2) in zip(grads, only_params):
-            assert dw.tobytes() == dw2.tobytes() and db.tobytes() == db2.tobytes()
+        assert only_params.shape == net.params.shape
+        assert only_params.tobytes() == grads.tobytes()
 
     def test_adam_step_reduces_loss(self):
         rng = np.random.default_rng(3)
@@ -472,6 +487,17 @@ class TestDenseNet:
         assert [l.w.tobytes() for l in a.layers] == [l.w.tobytes() for l in b.layers]
         with pytest.raises(ValueError):  # another net's state
             net.adam_step(AdamState.like(np.zeros(3)), grads, lr=1e-2)
+
+    def test_gradient_shape_must_be_the_params_shape(self):
+        rng = np.random.default_rng(11)
+        net = DenseNet.create([2, 3, 1], ["tanh", "linear"], rng)
+        out, cache = net.forward(rng.standard_normal((5, 2)))
+        grad, _ = net.backward(cache, np.ones_like(out))
+        before = net.params.copy()
+        for bad in (grad[:-1], grad[None], np.append(grad, 0.0)):
+            with pytest.raises(ValueError, match="gradient shape mismatch"):
+                net.adam_step(net.adam_state(), bad, lr=1e-2)
+        assert net.params.tobytes() == before.tobytes()
 
     def test_copy_is_independent(self):
         rng = np.random.default_rng(4)
