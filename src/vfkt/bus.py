@@ -30,7 +30,7 @@ def _payload_fingerprint(payload: Any):
         if isinstance(obj, np.ndarray):
             arrays += 1
             h.update(str(obj.shape).encode())
-            h.update(np.ascontiguousarray(obj).tobytes())
+            h.update(np.ascontiguousarray(obj))  # its buffer: a C-contiguous array is not copied
         elif isinstance(obj, (tuple, list)):
             for item in obj:
                 feed(item)

@@ -203,11 +203,15 @@ def _train_pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, task: PartySta
                        parties: tuple[PartyState, ...], h_t_nl: FeatureMatrix, run_seed: int,
                        first: int = 0) -> PairRun:
     """Steps 1-2 for every task/data-party pair, on a bus of their own: PSI,
-    the task's overlap partition, the FRL protocol and LKT training, with no
-    fine-tune. ``first`` is the index of the first of ``parties`` among all
-    data parties of the run; a party's index seeds its protocol."""
+    the task's overlap partition and the FRL protocol for each pair in party
+    order, then LKT training with no fine-tune, one stacked ``lkt_train``
+    call per group of pairs whose overlap tables and federated
+    representations have one shape. Models come back in party order, and a
+    divergence is reported for the first diverging pair in party order.
+    ``first`` is the index of the first of ``parties`` among all data
+    parties of the run; a party's index seeds its protocol."""
     bus = MessageBus()
-    models = []
+    inputs = []
     flagged = 0
     for k, party in enumerate(parties, start=first):
         overlap = psi_intersect(task.features.ids, party.features.ids)
@@ -225,13 +229,29 @@ def _train_pair_models(cfg: ExperimentConfig, lkt_cfg: LktConfig, task: PartySta
         h_fed = run_frl(bus, cfg.frl, task.party_id, party_matrices, overlap,
                         seed=run_seed * 1000 + k)
         flagged += h_fed.flagged
+        inputs.append((h_t_ol, h_fed))
+    groups: dict[tuple, list[int]] = {}
+    for i, (h_t_ol, h_fed) in enumerate(inputs):
+        groups.setdefault((h_t_ol.values.shape, h_fed.matrix.shape), []).append(i)
+    models = [None] * len(parties)
+    ids = [p.party_id for p in parties]
+    diverged = []
+    for rows in groups.values():
         # Pair models share the run-level training seed: identical data
         # hospitals then yield identical pre-fine-tune encoders, so any
         # divergence between blocks is attributable to the fine-tune phase.
-        model = lkt_mod.lkt_train(h_t_ol, h_t_nl, h_fed, lkt_cfg,
-                                  seed=run_seed * 1000 + 500,
-                                  provenance=party.party_id)
-        models.append(model)
+        try:
+            trained = lkt_mod.lkt_train([inputs[i][0] for i in rows], h_t_nl,
+                                        [inputs[i][1] for i in rows], lkt_cfg,
+                                        seeds=[run_seed * 1000 + 500] * len(rows),
+                                        provenances=[ids[i] for i in rows])
+        except lkt_mod.LktDivergenceError as exc:
+            diverged.append((ids.index(exc.provenance), exc))
+            continue
+        for i, model in zip(rows, trained):
+            models[i] = model
+    if diverged:
+        raise min(diverged, key=lambda d: d[0])[1]
     return PairRun(models, flagged, bus)
 
 

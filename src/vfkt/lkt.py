@@ -22,16 +22,18 @@ import numpy as np
 
 from .data import ConfigError, FeatureMatrix, standardize_columns
 from .frl import FederatedRepresentation
-from .numerics import ACTIVATIONS, AdamState, Array, DenseNet, _buf, logmeanexp, softmax_rows
+from .numerics import (ACTIVATIONS, AdamState, Array, DenseNet, _buf, _json_floats,
+                       logmeanexp, softmax_rows)
 
 CHECKPOINT_VERSION = 3
 
 
 class LktDivergenceError(RuntimeError):
-    def __init__(self, seed, epoch):
+    def __init__(self, seed, epoch, provenance=None):
         super().__init__(f"training diverged (loss not finite) at epoch {epoch}, seed {seed}")
         self.seed = seed
         self.epoch = epoch
+        self.provenance = provenance
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,23 @@ class LktConfig:
 
 @dataclass
 class TrainingPair:
-    """The networks ``lkt_train`` steps for one pair; only the encoder, and
-    the attention keys that ``phi`` gives, outlive training."""
+    """The networks ``lkt_train`` steps for one pair, or, stacked, for K
+    pairs; only the encoder, and the attention keys that ``phi`` gives,
+    outlive training."""
 
     enc: DenseNet
     dec: DenseNet
-    phi: Array  # (|X_fed| x d)
+    phi: Array  # (|X_fed| x d), or (K, |X_fed|, d) stacked
     mine: DenseNet
     mi_weight: float
+
+    @classmethod
+    def stack(cls, pairs: list["TrainingPair"]) -> "TrainingPair":
+        """The stacked pair whose row k is a copy of ``pairs[k]``, as
+        ``DenseNet.stack`` makes it; all share one layout and MI weight."""
+        nets = {name: DenseNet.stack([getattr(p, name) for p in pairs])
+                for name in ("enc", "dec", "mine")}
+        return cls(**nets, phi=np.stack([p.phi for p in pairs]), mi_weight=pairs[0].mi_weight)
 
 
 @dataclass
@@ -124,13 +135,16 @@ def _attend(query: Array, keys: Array, ws: dict | None = None):
     instead, so the n x m array takes no scale or divide pass. It is the one
     n x m array made here; with ``ws`` (see
     ``DenseNet.forward``) it is the buffer ``ws["attn"]``, so the returned
-    cache is overwritten by the next call with the same ``ws``.
+    cache is overwritten by the next call with the same ``ws``. A stack of K
+    readouts takes a (K, n, d) query over (K, m, d) keys, and every array
+    gains the leading K axis.
     """
-    q = query / np.sqrt(keys.shape[1])
-    e = np.matmul(q, keys.T, out=_buf(ws, "attn", (q.shape[0], keys.shape[0])))
-    e -= np.max(e, axis=1, keepdims=True)
+    q = query / np.sqrt(keys.shape[-1])
+    e = np.matmul(q, keys.swapaxes(-1, -2),
+                  out=_buf(ws, "attn", q.shape[:-1] + keys.shape[-2:-1]))
+    e -= np.max(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    inv = 1.0 / np.sum(e, axis=1, keepdims=True)
+    inv = 1.0 / np.sum(e, axis=-1, keepdims=True)
     z = e @ keys
     z *= inv
     return z, (q, keys, e, inv, z)
@@ -142,16 +156,23 @@ def _attention_backward(cache, dz: Array, h_fed: Array, ws: dict | None = None):
     With ``P = E * inv``, the softmax term ``sum_j dP_ij P_ij`` equals
     ``dz_i . z_i``, so it is taken on the n x d side; the score gradient
     ``P * (dz @ keys.T - s)`` is formed as ``E * ((dz * inv) @ keys.T - s * inv)``.
+    A stack's rows take turns in one n x m buffer (``ws["d_attn"]``), so no
+    second (K, n, m) array is made beside the forward's.
     """
     q, keys, e, inv, z = cache
-    s_inv = np.sum(dz * z, axis=1, keepdims=True) * inv
+    s_inv = np.sum(dz * z, axis=-1, keepdims=True) * inv
     dz_inv = dz * inv
-    d_scores = np.matmul(dz_inv, keys.T, out=_buf(ws, "d_attn", e.shape))
-    d_scores -= s_inv
-    d_scores *= e
-    d_query = d_scores @ keys / np.sqrt(keys.shape[1])
-    d_keys = e.T @ dz_inv + d_scores.T @ q
-    d_phi = h_fed.T @ d_keys
+    d_query = np.empty_like(q)
+    d_phi = np.empty(h_fed.shape[:-2] + (h_fed.shape[-1], q.shape[-1]))
+    rows = [(k,) for k in range(e.shape[0])] if e.ndim == 3 else [()]  # () indexes all of e
+    for k in rows:
+        d_scores = np.matmul(dz_inv[k], keys[k].T, out=_buf(ws, "d_attn", e.shape[-2:]))
+        d_scores -= s_inv[k]
+        d_scores *= e[k]
+        np.matmul(d_scores, keys[k], out=d_query[k])
+        d_query[k] /= np.sqrt(keys.shape[-1])
+        d_keys = e[k].T @ dz_inv[k] + d_scores.T @ q[k]
+        np.matmul(h_fed[k].T, d_keys, out=d_phi[k])
     return d_query, d_phi
 
 
@@ -183,34 +204,43 @@ def mine_estimate(mine: DenseNet, p: Array, q: Array, rng) -> float:
         raise ValueError("mine_estimate needs at least 2 samples")
     shift = int(np.random.default_rng(rng).integers(1, n))
     t, _ = mine.forward(_stack_pairs(p, q, shift))
-    return _dv_bound(t, n)
+    return float(_dv_bound(t, n))
 
 
-def _stack_pairs(p: Array, q: Array, shift: int) -> Array:
+def _row_shifts(shift) -> list:
+    """(index, shift) per row: ``((k,), shift[k])`` for each row of a stack,
+    whose shifts are a sequence, or ``((), shift)`` for one int."""
+    return [((), shift)] if np.ndim(shift) == 0 else [((k,), s) for k, s in enumerate(shift)]
+
+
+def _stack_pairs(p: Array, q: Array, shift) -> Array:
     """Critic inputs for one pass: the n joint rows ``[p, q]`` over the n
-    marginal rows ``[p, roll(q, shift)]``, with ``0 < shift < n``."""
-    n, dp = p.shape
-    pairs = np.empty((2 * n, dp + q.shape[1]))
-    pairs[:n, :dp] = p
-    pairs[n:, :dp] = p
-    pairs[:n, dp:] = q
+    marginal rows ``[p, roll(q, shift)]``, with ``0 < shift < n``. For a
+    stack, ``p`` and ``q`` are (K, n, .) and ``shift`` holds each row's."""
+    n, dp = p.shape[-2:]
+    pairs = np.empty(p.shape[:-2] + (2 * n, dp + q.shape[-1]))
+    pairs[..., :n, :dp] = p
+    pairs[..., n:, :dp] = p
+    pairs[..., :n, dp:] = q
     # roll(q, shift): row i of the marginal half holds q[(i - shift) % n]
-    pairs[n:n + shift, dp:] = q[n - shift:]
-    pairs[n + shift:, dp:] = q[:n - shift]
+    for k, s in _row_shifts(shift):
+        pairs[k][n:n + s, dp:] = q[k][n - s:]
+        pairs[k][n + s:, dp:] = q[k][:n - s]
     return pairs
 
 
-def _dv_bound(t: Array, n: int) -> float:
-    """The DV bound from the critic's outputs ``t`` on ``_stack_pairs`` rows."""
-    return float(np.mean(t[:n])) - logmeanexp(t[n:])
+def _dv_bound(t: Array, n: int) -> Array:
+    """The DV bound from the critic's outputs ``t`` on ``_stack_pairs``
+    rows; for a stack, one bound per row."""
+    return np.mean(t[..., :n, 0], axis=-1) - logmeanexp(t[..., n:, 0])
 
 
 def _dv_upstream(t: Array, n: int) -> Array:
     """Gradient of ``_dv_bound(t, n)`` with respect to ``t`` (2n x 1): 1/n on
     the joint rows, -softmax(t[n:]) on the marginal rows."""
     g = np.empty_like(t)
-    g[:n] = 1.0 / n
-    g[n:, 0] = -softmax_rows(t[n:, 0])
+    g[..., :n, :] = 1.0 / n
+    g[..., n:, 0] = -softmax_rows(t[..., n:, 0])
     return g
 
 
@@ -219,7 +249,7 @@ def _critic_grads(net: DenseNet, pairs: Array, ws: dict | None = None):
     respect to its parameters: one forward and one backward pass. The
     negation is exact, so its descent is the bound's ascent bit for bit."""
     t, cache = net.forward(pairs, ws)
-    grad, _ = net.backward(cache, -_dv_upstream(t, pairs.shape[0] // 2), ws, inputs=False)
+    grad, _ = net.backward(cache, -_dv_upstream(t, pairs.shape[-2] // 2), ws, inputs=False)
     return grad
 
 
@@ -294,54 +324,59 @@ def build_model(n_nl: int, n_rec: int, n_fed: int, config: LktConfig, seed) -> T
     return TrainingPair(enc=enc, dec=dec, phi=phi, mine=mine, mi_weight=float(config.mi_weight))
 
 
-def loss_and_grads(pair: TrainingPair, x_nl: Array, x_rec: Array, h_fed: Array, shift: int,
+def loss_and_grads(pair: TrainingPair, x_nl: Array, x_rec: Array, h_fed: Array, shift,
                    ws: dict | None = None):
     """Full transfer loss and its gradients w.r.t. encoder, decoder, and phi.
 
     The critic is treated as fixed here; its ascent step is separate, and
     its weight gradients are not formed. Returns (loss, {"recons": ..,
     "mi": ..}, grads) where grads holds the enc/dec gradients, each laid
-    out as its net's ``params``, and the dense phi gradient. ``ws`` holds
-    the attention's n x |h_fed| buffers from one call to the next (see
+    out as its net's ``params``, and the dense phi gradient. With an MI
+    weight of 0 the MI branch is not run: the loss is the reconstruction
+    error, the parts hold no "mi" and the phi gradient is zero. For a
+    stacked pair (``TrainingPair.stack``) the batches and ``h_fed`` are
+    (K, n, .), ``shift`` holds one shift per row, and the loss and its
+    parts hold one value per row. The reconstruction branch runs first, and
+    each cache is dropped once its backward pass has run. ``ws`` holds the
+    attention's n x |h_fed| buffers from one call to the next (see
     ``_attend``); the results are the same without it.
     """
-    d = pair.enc.output_dim
-    n = x_nl.shape[0]
+    n = x_nl.shape[-2]
 
-    e_nl, cache_nl = pair.enc.forward(x_nl)
-    z, attn_cache = _attend(e_nl, h_fed @ pair.phi, ws)
-
-    e_rec, cache_rec = pair.enc.forward(x_rec)
-    recon, cache_dec = pair.dec.forward(e_rec)
-    l_rec = float(np.mean((recon - x_rec) ** 2))
-
-    t, cache_c = pair.mine.forward(_stack_pairs(e_nl, z, shift))
-    l_mi = _dv_bound(t, n)
-
-    loss = l_rec - pair.mi_weight * l_mi
-
-    # reconstruction branch
-    d_recon = 2.0 * (recon - x_rec) / recon.size
-    dec_grads, d_e_rec = pair.dec.backward(cache_dec, d_recon)
-    enc_grads_rec, _ = pair.enc.backward(cache_rec, d_e_rec, inputs=False)
+    e, cache = pair.enc.forward(x_rec)
+    recon, cache_dec = pair.dec.forward(e)
+    err = recon - x_rec
+    l_rec = np.mean((err ** 2).reshape(err.shape[:-2] + (-1,)), axis=-1)
+    dec_grads, d_e = pair.dec.backward(cache_dec, 2.0 * err / (err.shape[-2] * err.shape[-1]))
+    del recon, cache_dec, err
+    enc_grads, _ = pair.enc.backward(cache, d_e, inputs=False)
+    if not pair.mi_weight:
+        return l_rec, {"recons": l_rec}, {
+            "enc": enc_grads, "dec": dec_grads, "phi": np.zeros_like(pair.phi)}
 
     # MI branch (critic fixed): d(loss)/dT = -mi_weight * d(bound)/dT
+    d = pair.enc.output_dim
+    e, cache = pair.enc.forward(x_nl)
+    z, attn_cache = _attend(e, h_fed @ pair.phi, ws)
+    t, cache_c = pair.mine.forward(_stack_pairs(e, z, shift))
+    l_mi = _dv_bound(t, n)
     _, d_c = pair.mine.backward(cache_c, -pair.mi_weight * _dv_upstream(t, n), params=False)
-    d_p = d_c[:n, :d] + d_c[n:, :d]
+    del cache_c
+    d_p = d_c[..., :n, :d] + d_c[..., n:, :d]
     # the marginal rows' q gradient, rolled back by -shift (see _stack_pairs)
-    d_z = d_c[:n, d:].copy()
-    d_z[:n - shift] += d_c[n + shift:, d:]
-    d_z[n - shift:] += d_c[n:n + shift, d:]
-
+    d_z = d_c[..., :n, d:].copy()
+    for k, s in _row_shifts(shift):
+        d_z[k][:n - s] += d_c[k][n + s:, d:]
+        d_z[k][n - s:] += d_c[k][n:n + s, d:]
+    del d_c
     d_query, d_phi = _attention_backward(attn_cache, d_z, h_fed, ws)
-    enc_grads_nl, _ = pair.enc.backward(cache_nl, d_p + d_query, inputs=False)
+    d_p += d_query
+    enc_grads += pair.enc.backward(cache, d_p, inputs=False)[0]
+    loss = l_rec - pair.mi_weight * l_mi
+    return loss, {"recons": l_rec, "mi": l_mi}, {"enc": enc_grads, "dec": dec_grads, "phi": d_phi}
 
-    return loss, {"recons": l_rec, "mi": l_mi}, {
-        "enc": enc_grads_rec + enc_grads_nl, "dec": dec_grads, "phi": d_phi,
-    }
 
-
-def _mine_ascent(pair: TrainingPair, adam: AdamState, x_nl: Array, h_fed: Array, shift: int,
+def _mine_ascent(pair: TrainingPair, adam: AdamState, x_nl: Array, h_fed: Array, shift,
                  lr: float, ws: dict | None = None):
     """Critic step on the batch, a descent on -DV, after the pair's update:
     the encoder and attention forward passes are rerun with the new weights."""
@@ -356,61 +391,123 @@ def _batches(n: int, batch_size: int, rng):
         yield perm[start:start + batch_size]
 
 
-def lkt_train(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
-              h_fed: FederatedRepresentation, config: LktConfig, seed,
-              provenance: str = "pair-0") -> LktModel:
-    """Train one pair model: alternating descent on the transfer loss and
-    ascent of the MI critic, one critic step per model step per batch."""
+def _reconstruction_table(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
+                          config: LktConfig) -> FeatureMatrix:
+    """The rows a pair's decoder rebuilds: its overlap rows or the non-overlap rows."""
     source = config.reconstruction_source
     same_schema = h_t_ol.columns == h_t_nl.columns
     if source == "auto":
         source = "overlap" if same_schema else "local"
     if source == "overlap" and not same_schema:
         raise ValueError("overlap reconstruction needs matching column schemas")
-    rec = h_t_ol if source == "overlap" else h_t_nl  # the rows the decoder rebuilds
+    return h_t_ol if source == "overlap" else h_t_nl
 
+
+def lkt_train(h_t_ols: list[FeatureMatrix], h_t_nl: FeatureMatrix,
+              h_feds: list[FederatedRepresentation], config: LktConfig, seeds: list,
+              provenances: list[str] | None = None) -> list[LktModel]:
+    """Train K pair models as one stack: alternating descent on the transfer
+    loss and ascent of the MI critic, one critic step per model step per batch.
+
+    Pair k is ``h_t_ols[k]``, ``h_feds[k]``, ``seeds[k]`` and
+    ``provenances[k]`` (``pair-<k>`` by default), over the non-overlap rows
+    ``h_t_nl`` that all pairs share; one pair is a stack of one. The
+    federated representations must share one shape, and so must the tables
+    the decoders rebuild. Each pair draws its networks and its batches from
+    its own seed, in the order of a pair trained alone (the epoch's
+    reconstruction-row permutation, then its batch permutation, then one
+    critic shift per batch), and each model is bit for bit the one it would
+    be alone. With an MI weight of 0 the critic is drawn but never run, and
+    ``history`` holds no "mi" curve.
+
+    A pair whose loss turns non-finite stops the stack. The pairs before it
+    train again as a stack of their own, so the ``LktDivergenceError``
+    raised names the first pair that diverges, with its seed, epoch and
+    provenance, as training the pairs one after another would.
+    """
+    n_pairs = len(h_feds)
+    provenances = list(provenances or (f"pair-{k}" for k in range(n_pairs)))
+    if not n_pairs or not len(h_t_ols) == len(seeds) == len(provenances) == n_pairs:
+        raise ValueError("lkt_train needs one overlap table, seed and provenance per "
+                         "federated representation, and at least one of each")
+    recs = [_reconstruction_table(h_t_ol, h_t_nl, config).values for h_t_ol in h_t_ols]
+    for what, tables in (("federated representation", [f.matrix for f in h_feds]),
+                         ("reconstruction table", recs)):
+        if len({t.shape for t in tables}) != 1:
+            raise ValueError(f"stacked pairs need one {what} shape, got "
+                             f"{[t.shape for t in tables]}")
     x_nl = h_t_nl.values
+    n_rec, n_rec_cols = recs[0].shape
+    n_fed = h_feds[0].matrix.shape[1]
+    # Pairs of one seed would each draw the same batches and shifts: they
+    # draw them from one stream, and their batch rows are gathered once.
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            for seed in (seeds[:1] if len(set(seeds)) == 1 else seeds)]
+    # One table that every pair rebuilds is read as it is, not copied per
+    # pair; distinct ones are read as one table, pair k's rows from k * n_rec.
+    if all(np.array_equal(r, recs[0]) for r in recs):
+        rec_rows, rec_offsets = recs[0], 0
+    else:
+        rec_rows, rec_offsets = np.concatenate(recs), np.arange(n_pairs)[:, None] * n_rec
+    # A stack of one steps as its pair itself, on 2-D arrays, which numpy
+    # runs faster than (1, n, .) ones; ``rows`` picks the pair axis of the
+    # per-pair arrays below.
+    pairs = [build_model(x_nl.shape[1], n_rec_cols, n_fed, config, seed) for seed in seeds]
+    stack = pairs[0] if n_pairs == 1 else TrainingPair.stack(pairs)
+    del pairs  # a stack of several holds copies of them
+    rows = 0 if n_pairs == 1 else slice(None)
     # Factorization outputs have orthonormal columns (entries ~ 1/sqrt(n)),
     # which would flatten the attention softmax; rescale to unit variance.
-    fed = standardize_columns(h_fed.matrix)[0]
-    pair = build_model(h_t_nl.n_cols, rec.n_cols, fed.shape[1], config, seed)
-    enc_adam, dec_adam, mine_adam = (net.adam_state() for net in (pair.enc, pair.dec, pair.mine))
-    phi_adam = AdamState.like(pair.phi)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    fed = np.stack([standardize_columns(f.matrix)[0] for f in h_feds])[rows]
+    enc_adam, dec_adam, mine_adam = (net.adam_state()
+                                     for net in (stack.enc, stack.dec, stack.mine))
+    phi_adam = AdamState.like(stack.phi)
+    lr = config.learning_rate
 
-    history: dict[str, list[float]] = {"loss": [], "recons": [], "mi": []}
-    n_rec = rec.n_rows
+    names = ("loss", "recons", "mi") if stack.mi_weight else ("loss", "recons")
+    curves = []  # per epoch, the mean of each of ``names`` per pair
     ws: dict = {}  # attention buffers shared by every step
     for epoch in range(config.epochs):
-        totals, n_batches = dict.fromkeys(history, 0.0), 0
-        rec_perm = rng.permutation(n_rec)
-        rec_cursor = 0
-        for idx in _batches(x_nl.shape[0], config.batch_size, rng):
-            if idx.size < 2:
+        rec_perms = (np.stack([rng.permutation(n_rec) for rng in rngs]) + rec_offsets)[rows]
+        perms = np.stack([rng.permutation(x_nl.shape[0]) for rng in rngs])[rows]
+        totals, n_batches, rec_cursor = np.zeros((len(names), n_pairs)), 0, 0
+        for start in range(0, x_nl.shape[0], config.batch_size):
+            idx = perms[..., start:start + config.batch_size]
+            take = idx.shape[-1]
+            if take < 2:
                 continue
             xb = x_nl[idx]
             # cycle through reconstruction-source rows in shuffled order
-            take = idx.size
-            rec_idx = rec_perm[(rec_cursor + np.arange(take)) % n_rec]
+            xr = rec_rows[rec_perms[..., (rec_cursor + np.arange(take)) % n_rec]]
             rec_cursor += take
-            xr = rec.values[rec_idx]
-            shift = int(rng.integers(1, idx.size))
-            loss, parts, grads = loss_and_grads(pair, xb, xr, fed, shift, ws)
-            if not np.isfinite(loss):
-                raise LktDivergenceError(seed, epoch)
-            pair.enc.adam_step(enc_adam, grads["enc"], config.learning_rate)
-            pair.dec.adam_step(dec_adam, grads["dec"], config.learning_rate)
-            pair.phi = phi_adam.update(pair.phi, grads["phi"], config.learning_rate)
-            _mine_ascent(pair, mine_adam, xb, fed, shift, config.learning_rate, ws)
-            for key, value in {"loss": loss, **parts}.items():
-                totals[key] += value
+            shifts = ([int(rng.integers(1, take)) for rng in rngs] * (n_pairs // len(rngs)))[rows]
+            loss, parts, grads = loss_and_grads(stack, xb, xr, fed, shifts, ws)
+            finite = np.isfinite(loss)
+            if not finite.all():
+                k = int(np.argmin(finite))  # the first pair whose loss is not finite
+                if k:
+                    lkt_train(h_t_ols[:k], h_t_nl, h_feds[:k], config, seeds[:k],
+                              provenances[:k])
+                raise LktDivergenceError(seeds[k], epoch, provenances[k])
+            stack.enc.adam_step(enc_adam, grads["enc"], lr)
+            stack.dec.adam_step(dec_adam, grads["dec"], lr)
+            stack.phi = phi_adam.update(stack.phi, grads["phi"], lr)
+            if stack.mi_weight:
+                _mine_ascent(stack, mine_adam, xb, fed, shifts, lr, ws)
+            for total, value in zip(totals, (loss, *parts.values())):
+                total += value
             n_batches += 1
         if n_batches == 0:
             raise ValueError("batch size produced no usable batches")
-        for key, total in totals.items():
-            history[key].append(total / n_batches)
-    return LktModel(enc=pair.enc, keys=fed @ pair.phi, temperature=config.temperature,
-                    provenance=provenance, nl_columns=h_t_nl.columns, history=history)
+        curves.append((totals / n_batches).tolist())
+
+    encs = [stack.enc] if n_pairs == 1 else stack.enc.unstack()
+    keys = fed @ stack.phi
+    return [LktModel(enc=enc, keys=keys.reshape((n_pairs, *keys.shape[-2:]))[k],
+                     temperature=config.temperature, provenance=provenances[k],
+                     nl_columns=h_t_nl.columns,
+                     history={name: [c[j][k] for c in curves] for j, name in enumerate(names)})
+            for k, enc in enumerate(encs)]
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +689,8 @@ def load_models(path):
     the model by its index and its provenance, an entry that is not an
     object, a missing or unknown key, a value of the wrong JSON type, a
     non-string column name, a bad encoder, mismatched schema widths,
-    non-finite keys and a temperature that is not finite and > 0."""
+    non-finite keys, a boolean among the keys or weights and a temperature
+    that is not finite and > 0."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -621,7 +719,7 @@ def load_models(path):
             if not all(isinstance(c, str) for c in md["nl_columns"]):
                 raise ValueError("'nl_columns' holds a name that is not a string")
             enc = DenseNet.from_dict(md["enc"])
-            keys = np.asarray(md["keys"], dtype=float)
+            keys = _json_floats(md["keys"], "keys")
             temperature = float(md["temperature"])
             if enc.input_dim != len(md["nl_columns"]):
                 raise ValueError("schema mismatch: encoder input width")

@@ -146,11 +146,11 @@ def softmax_rows(m: Array) -> Array:
     return e
 
 
-def logmeanexp(x: Array) -> float:
-    """log(mean(exp(x))) with max-shifting."""
-    x = np.asarray(x, dtype=float).ravel()
-    mx = float(np.max(x))
-    return mx + float(np.log(np.mean(np.exp(x - mx))))
+def logmeanexp(x: Array):
+    """log(mean(exp(x))) along the last axis, with max-shifting."""
+    x = np.asarray(x, dtype=float)
+    mx = np.max(x, axis=-1)
+    return mx + np.log(np.mean(np.exp(x - mx[..., None]), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,17 @@ def _buf(ws: dict | None, key, shape) -> Array | None:
     if b is None or b.shape != shape:
         b = ws[key] = np.empty(shape)
     return b
+
+
+def _json_floats(value, what: str) -> Array:
+    """A JSON array of numbers, nested to any depth, as a float array.
+
+    ``np.asarray`` would read a JSON boolean as 1.0 or 0.0; one is rejected
+    as "<what> hold a boolean"."""
+    a = np.asarray(value, dtype=object)
+    if bool in map(type, a.flat):
+        raise ValueError(f"{what} hold a boolean")
+    return a.astype(float)
 
 
 ADAM_BETAS = (0.9, 0.999)
@@ -305,6 +316,11 @@ class DenseNet:
                                ls[0].activation)
                     for ls in zip(*(n.layers for n in nets))])
 
+    def unstack(self) -> list["DenseNet"]:
+        """Copies of the K nets of a stack, in row order: the inverse of ``stack``."""
+        return [DenseNet([DenseLayer(l.w[k], l.b[k], l.activation) for l in self.layers])
+                for k in range(len(self.params))]
+
     @property
     def input_dim(self) -> int:
         return self.layers[0].w.shape[-2]
@@ -357,20 +373,22 @@ class DenseNet:
         """
         grads = [None] * (2 * len(self.layers))
         rows = self.params.shape[:-1] + (-1,)
-        g = np.asarray(grad_output, dtype=float)
+        g = grad_output = np.asarray(grad_output, dtype=float)
         for i in range(len(self.layers) - 1, -1, -1):
             a_in, a_out = cache[i]
             layer = self.layers[i]
             if layer.activation == "linear":
                 gz = g
             else:
+                # a g this loop made is read by nothing else: gz overwrites it
                 gz = np.multiply(g, _act_grad(layer.activation, a_out),
-                                 out=_buf(ws, ("gz", i), g.shape))
+                                 out=_buf(ws, ("gz", i), g.shape) if g is grad_output else g)
             if params:
                 grads[2 * i] = (a_in.swapaxes(-1, -2) @ gz).reshape(rows)
                 grads[2 * i + 1] = gz.sum(axis=-2)
             if i > 0 or inputs:
                 g = np.matmul(gz, layer.w.swapaxes(-1, -2), out=_buf(ws, ("g", i), a_in.shape))
+            del gz  # before the next layer makes its activation gradient
         return (np.concatenate(grads, axis=-1) if params else None), (g if inputs else None)
 
     def adam_state(self) -> AdamState:
@@ -410,8 +428,8 @@ class DenseNet:
                     and all(isinstance(l, dict) for l in d["layers"])):
                 raise ValueError("network layers must be a list of objects")
             layers = [
-                DenseLayer(np.asarray(l["w"], dtype=float), np.asarray(l["b"], dtype=float),
-                           l["activation"])
+                DenseLayer(_json_floats(l["w"], "network weights"),
+                           _json_floats(l["b"], "network weights"), l["activation"])
                 for l in d["layers"]
             ]
         except KeyError as exc:

@@ -266,9 +266,10 @@ class TestSplitPartitions:
         seen = {}
         train, split = lkt.lkt_train, experiment.stratified_split
 
-        def lkt_train(h_t_ol, h_t_nl, *args, **kwargs):
+        def lkt_train(h_t_ols, h_t_nl, *args, **kwargs):
+            (h_t_ol,) = h_t_ols  # the one data party's pair
             seen.update(h_t_ol=h_t_ol, h_t_nl=h_t_nl)
-            return train(h_t_ol, h_t_nl, *args, **kwargs)
+            return train(h_t_ols, h_t_nl, *args, **kwargs)
 
         def stratified_split(labels, params, seed):
             seen["labels"] = labels

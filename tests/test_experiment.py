@@ -672,6 +672,69 @@ class TestPairTrainingMemo:
                     == (tmp_path / "separate" / name).read_bytes()), name
 
 
+class TestStackedPairTraining:
+    """A seed's pairs train in one stacked ``lkt_train`` call per group of
+    pairs whose tables have one shape."""
+
+    @staticmethod
+    def _cfg():
+        spec = replace(_tiny_config().synthetic, data_features=(4, 3, 4))
+        return _tiny_config(synthetic=spec, conditions=("unitrans",))
+
+    def test_pairs_of_one_shape_train_together_and_come_back_in_party_order(self, monkeypatch):
+        from vfkt import experiment
+
+        cfg = self._cfg()
+        ds = prepare_dataset(cfg)
+        _, h_t_nl = experiment._non_overlap(cfg, ds.task, ds.data_parties)
+        calls, real_train = [], lkt.lkt_train
+
+        def train(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(lkt, "lkt_train", train)
+        run = experiment._train_pair_models(cfg, cfg.lkt, ds.task, ds.data_parties, h_t_nl, 0)
+        assert [kw["provenances"] for _, kw in calls] == [["data-0", "data-2"], ["data-1"]]
+        assert [m.provenance for m in run.models] == ["data-0", "data-1", "data-2"]
+        # each model is the one its pair trains alone
+        alone = {}
+        for (h_t_ols, nl, h_feds, lkt_cfg), kw in calls:
+            for row, name in enumerate(kw["provenances"]):
+                (alone[name],) = real_train([h_t_ols[row]], nl, [h_feds[row]], lkt_cfg,
+                                            [kw["seeds"][row]], [name])
+        for m in run.models:
+            want = alone[m.provenance]
+            assert m.enc.params.tobytes() == want.enc.params.tobytes()
+            assert m.keys.tobytes() == want.keys.tobytes()
+            assert m.history == want.history
+
+    @pytest.mark.parametrize("failing, named", [
+        ({"data-2": 0, "data-1": 1}, "data-1"),
+        ({"data-2": 0}, "data-2"),
+        ({"data-0": 1, "data-1": 0}, "data-0"),
+    ], ids=["later-group-first-pair", "one-failure", "first-pair"])
+    def test_a_divergence_names_the_first_diverging_pair(self, monkeypatch, failing, named):
+        # as training the pairs one after another would, whichever group
+        # trains first
+        from vfkt import experiment
+
+        cfg = self._cfg()
+        ds = prepare_dataset(cfg)
+        _, h_t_nl = experiment._non_overlap(cfg, ds.task, ds.data_parties)
+
+        def train(h_t_ols, h_t_nl, h_feds, config, seeds, provenances):
+            for seed, name in zip(seeds, provenances):
+                if name in failing:
+                    raise lkt.LktDivergenceError(seed, failing[name], name)
+            return [None] * len(provenances)
+
+        monkeypatch.setattr(lkt, "lkt_train", train)
+        with pytest.raises(lkt.LktDivergenceError) as exc:
+            experiment._train_pair_models(cfg, cfg.lkt, ds.task, ds.data_parties, h_t_nl, 0)
+        assert (exc.value.provenance, exc.value.epoch) == (named, failing[named])
+
+
 def _new_party(ds):
     rng = np.random.default_rng(9)
     feats = ds.data_parties[0].features
@@ -704,9 +767,9 @@ class TestAddDataHospital:
         trained, pairs = [], []
         real_train, real_build = lkt.lkt_train, lkt.build_model
 
-        def train(h_t_ol, h_t_nl, h_fed, *args, **kwargs):
-            trained.append(h_fed.matrix)
-            return real_train(h_t_ol, h_t_nl, h_fed, *args, **kwargs)
+        def train(h_t_ols, h_t_nl, h_feds, *args, **kwargs):
+            trained.extend(h_fed.matrix for h_fed in h_feds)
+            return real_train(h_t_ols, h_t_nl, h_feds, *args, **kwargs)
 
         def build(*args, **kwargs):
             pairs.append(real_build(*args, **kwargs))  # its phi ends trained

@@ -95,6 +95,26 @@ class TestBus:
         bus.send("a", "b", "k", ("fedsvd", 3, None))
         assert [r["shape"] for r in bus.trace] == [[[2, 2], [3]], None]
 
+    def test_fingerprint_reads_an_array_in_place(self):
+        # the digest is that of the bytes, hashed from the array's own
+        # buffer: a 1200 x 256 mask is not copied to be traced
+        import hashlib
+        import tracemalloc
+
+        mask = np.random.default_rng(0).standard_normal((1200, 256))
+        tracemalloc.start()
+        try:
+            MessageBus().send("a", "b", "mask", mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mask.nbytes / 10
+        want = hashlib.sha256(str(mask.shape).encode() + mask.tobytes()).hexdigest()[:16]
+        bus = MessageBus()
+        bus.send("a", "b", "mask", mask)
+        bus.send("a", "b", "mask", np.asfortranarray(mask))  # copied to C order first
+        assert [r["checksum"] for r in bus.trace] == [want, want]
+
     def test_trace_queries(self):
         bus = MessageBus()
         bus.send("a", "srv", "x", 1)

@@ -68,9 +68,85 @@ def _pair_model(k, cfg, columns, n_keys):
                     provenance=f"pair-{k}", nl_columns=tuple(columns))
 
 
+def _train_one(h_t_ol, h_t_nl, h_fed, config, seed, provenance="pair-0"):
+    """``lkt_train`` on one pair: a stack of one."""
+    (model,) = lkt_train([h_t_ol], h_t_nl, [h_fed], config, [seed], [provenance])
+    return model
+
+
+def _reference_step(pair, x_nl, x_rec, h_fed, shift):
+    """The full transfer step on one unstacked pair, the MI branch included
+    at any weight: (loss, {"recons", "mi"}, grads), every product 2-D."""
+    d, n = pair.enc.output_dim, x_nl.shape[0]
+    e_nl, cache_nl = pair.enc.forward(x_nl)
+    z, attn_cache = _attend(e_nl, h_fed @ pair.phi)
+    e_rec, cache_rec = pair.enc.forward(x_rec)
+    recon, cache_dec = pair.dec.forward(e_rec)
+    l_rec = float(np.mean((recon - x_rec) ** 2))
+    t, cache_c = pair.mine.forward(_stack_pairs(e_nl, z, shift))
+    l_mi = float(np.mean(t[:n])) - float(lkt.logmeanexp(t[n:, 0]))
+    dec_grads, d_e_rec = pair.dec.backward(cache_dec, 2.0 * (recon - x_rec) / recon.size)
+    enc_grads_rec, _ = pair.enc.backward(cache_rec, d_e_rec, inputs=False)
+    upstream = np.full_like(t, 1.0 / n)
+    upstream[n:, 0] = -softmax_rows(t[n:, 0])
+    _, d_c = pair.mine.backward(cache_c, -pair.mi_weight * upstream, params=False)
+    d_z = d_c[:n, d:] + np.roll(d_c[n:, d:], -shift, axis=0)
+    d_query, d_phi = _attention_backward(attn_cache, d_z, h_fed)
+    enc_grads_nl, _ = pair.enc.backward(cache_nl, d_c[:n, :d] + d_c[n:, :d] + d_query,
+                                        inputs=False)
+    return l_rec - pair.mi_weight * l_mi, {"recons": l_rec, "mi": l_mi}, {
+        "enc": enc_grads_rec + enc_grads_nl, "dec": dec_grads, "phi": d_phi}
+
+
+def _reference_train(h_t_ol, h_t_nl, h_fed, config, seed, provenance="pair-0"):
+    """The per-pair loop that ``lkt_train`` must match bit for bit, row by
+    row: one pair, its networks and its batches drawn from its own seed, and
+    at every weight the full step and one critic step per batch."""
+    same_schema = h_t_ol.columns == h_t_nl.columns
+    source = config.reconstruction_source
+    if source == "auto":
+        source = "overlap" if same_schema else "local"
+    rec = h_t_ol if source == "overlap" else h_t_nl
+    x_nl = h_t_nl.values
+    fed = standardize_columns(h_fed.matrix)[0]
+    pair = build_model(h_t_nl.n_cols, rec.n_cols, fed.shape[1], config, seed)
+    enc_adam, dec_adam, mine_adam = (net.adam_state() for net in (pair.enc, pair.dec, pair.mine))
+    phi_adam = lkt.AdamState.like(pair.phi)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    history = {"loss": [], "recons": [], "mi": []}
+    for epoch in range(config.epochs):
+        totals, n_batches = dict.fromkeys(history, 0.0), 0
+        rec_perm = rng.permutation(rec.n_rows)
+        rec_cursor = 0
+        for idx in lkt._batches(x_nl.shape[0], config.batch_size, rng):
+            if idx.size < 2:
+                continue
+            xb = x_nl[idx]
+            rec_idx = rec_perm[(rec_cursor + np.arange(idx.size)) % rec.n_rows]
+            rec_cursor += idx.size
+            shift = int(rng.integers(1, idx.size))
+            loss, parts, grads = _reference_step(pair, xb, rec.values[rec_idx], fed, shift)
+            if not np.isfinite(loss):
+                raise LktDivergenceError(seed, epoch)
+            pair.enc.adam_step(enc_adam, grads["enc"], config.learning_rate)
+            pair.dec.adam_step(dec_adam, grads["dec"], config.learning_rate)
+            pair.phi = phi_adam.update(pair.phi, grads["phi"], config.learning_rate)
+            e_nl, _ = pair.enc.forward(xb)
+            z, _ = _attend(e_nl, fed @ pair.phi)
+            pair.mine.adam_step(mine_adam, _critic_grads(pair.mine, _stack_pairs(e_nl, z, shift)),
+                                config.learning_rate)
+            for key, value in {"loss": loss, **parts}.items():
+                totals[key] += value
+            n_batches += 1
+        for key, total in totals.items():
+            history[key].append(total / n_batches)
+    return LktModel(enc=pair.enc, keys=fed @ pair.phi, temperature=config.temperature,
+                    provenance=provenance, nl_columns=h_t_nl.columns, history=history)
+
+
 def _trained_pairs(monkeypatch):
-    """The ``TrainingPair`` of every ``lkt_train`` call from here on, as it
-    stands when training ends."""
+    """The ``TrainingPair`` that ``build_model`` draws for each pair from here
+    on; a one-pair ``lkt_train`` steps it itself, so it ends trained."""
     pairs = []
     real_build = lkt.build_model
 
@@ -346,7 +422,7 @@ class TestLktTrain:
         cfg = LktConfig(latent_dim=3, mi_weight=0.0, epochs=1000,
                         learning_rate=5e-3, hidden_width=32,
                         reconstruction_source="local")
-        model = lkt_train(h_ol, x, fed, cfg, seed=0)
+        model = _train_one(h_ol, x, fed, cfg, seed=0)
         assert model.history["recons"][-1] < 0.05
 
     def test_mi_history_mostly_nondecreasing(self):
@@ -359,7 +435,7 @@ class TestLktTrain:
         cfg = LktConfig(latent_dim=4, mi_weight=0.5, epochs=40,
                         hidden_width=8, mine_hidden=(16, 16),
                         reconstruction_source="local")
-        model = lkt_train(h_ol, x, fed, cfg, seed=0)
+        model = _train_one(h_ol, x, fed, cfg, seed=0)
         mi = np.asarray(model.history["mi"])
         frac_up = float(np.mean(np.diff(mi) >= 0))
         assert frac_up >= 0.8
@@ -373,15 +449,15 @@ class TestLktTrain:
         fed = _fed(rng.normal(size=(5, 3)))
         cfg = LktConfig(latent_dim=2, epochs=1, reconstruction_source="overlap")
         with pytest.raises(ValueError, match="matching column schemas"):
-            lkt_train(h_ol, x, fed, cfg, seed=0)
+            _train_one(h_ol, x, fed, cfg, seed=0)
         # equal widths are not a matching schema: the column names must match
         renamed = FeatureMatrix(ids=h_ol.ids[:4], columns=("y0", "y1", "y2", "y3"),
                                 values=rng.normal(size=(4, 4)))
         with pytest.raises(ValueError, match="matching column schemas"):
-            lkt_train(renamed, x, fed, cfg, seed=0)
+            _train_one(renamed, x, fed, cfg, seed=0)
         # ... so auto reconstructs the local rows, exactly as local does
-        auto, local = (lkt_train(renamed, x, fed, replace(cfg, reconstruction_source=source),
-                                 seed=0) for source in ("auto", "local"))
+        auto, local = (_train_one(renamed, x, fed, replace(cfg, reconstruction_source=source),
+                                  seed=0) for source in ("auto", "local"))
         assert auto.enc.to_dict() == local.enc.to_dict()
 
     def test_deterministic_given_seed(self):
@@ -390,8 +466,8 @@ class TestLktTrain:
         h_ol = _feature_matrix(rng.normal(size=(10, 4)), prefix="o")
         fed = _fed(rng.normal(size=(10, 3)))
         cfg = LktConfig(latent_dim=2, epochs=2, hidden_width=4, mine_hidden=(4, 4))
-        m1 = lkt_train(h_ol, x, fed, cfg, seed=7)
-        m2 = lkt_train(h_ol, x, fed, cfg, seed=7)
+        m1 = _train_one(h_ol, x, fed, cfg, seed=7)
+        m2 = _train_one(h_ol, x, fed, cfg, seed=7)
         np.testing.assert_array_equal(m1.enc.layers[0].w, m2.enc.layers[0].w)
         assert m1.history == m2.history
 
@@ -410,12 +486,12 @@ class TestLktTrain:
         real = lkt.loss_and_grads
 
         def counted(pair, x_nl, *args, **kwargs):
-            sizes.append(x_nl.shape[0])
+            sizes.append(x_nl.shape[-2])
             return real(pair, x_nl, *args, **kwargs)
 
         monkeypatch.setattr(lkt, "loss_and_grads", counted)
         x, h_ol, fed, cfg = self._tables(21)
-        model = lkt_train(h_ol, x, fed, cfg, seed=0)
+        model = _train_one(h_ol, x, fed, cfg, seed=0)
         assert sizes == [10, 10] * cfg.epochs
         assert {k: len(v) for k, v in model.history.items()} == dict.fromkeys(
             ("loss", "recons", "mi"), cfg.epochs)
@@ -423,7 +499,7 @@ class TestLktTrain:
     def test_a_single_row_gives_no_usable_batch(self):
         x, h_ol, fed, cfg = self._tables(1)
         with pytest.raises(ValueError, match="^batch size produced no usable batches$"):
-            lkt_train(h_ol, x, fed, cfg, seed=0)
+            _train_one(h_ol, x, fed, cfg, seed=0)
 
     def test_a_diverging_loss_is_an_error(self):
         # with float errors ignored, the overflow reaches the finite-loss
@@ -435,9 +511,185 @@ class TestLktTrain:
         cfg = LktConfig(latent_dim=2, epochs=2, hidden_width=4, mine_hidden=(4, 4),
                         reconstruction_source="local")
         with np.errstate(all="ignore"), pytest.raises(LktDivergenceError) as exc:
-            lkt_train(h_ol, x, fed, cfg, seed=7)
+            _train_one(h_ol, x, fed, cfg, seed=7, provenance="p")
         assert str(exc.value) == "training diverged (loss not finite) at epoch 0, seed 7"
-        assert (exc.value.seed, exc.value.epoch) == (7, 0)
+        assert (exc.value.seed, exc.value.epoch, exc.value.provenance) == (7, 0, "p")
+
+
+class TestLktStack:
+    """``lkt_train`` steps K pairs as one stack, each bit for bit the pair
+    that the per-pair loop trains."""
+
+    @staticmethod
+    def _pairs(k_pairs, n_rows=43, n_overlap=12, n_fed=5, big=None):
+        """Shared non-overlap rows and, per pair, an overlap table of the same
+        columns and a federated representation; ``big`` maps a pair to the
+        overlap row set to 1e200, whose reconstruction overflows."""
+        rng = np.random.default_rng(8)
+        x = _feature_matrix(rng.normal(size=(n_rows, 4)))
+        ols = [_feature_matrix(rng.normal(size=(n_overlap, 4)), prefix=f"o{k}_")
+               for k in range(k_pairs)]
+        for k, row in (big or {}).items():
+            values = ols[k].values.copy()
+            values[row] = 1e200
+            ols[k] = replace(ols[k], values=values)
+        feds = [_fed(rng.normal(size=(n_overlap, n_fed))) for _ in range(k_pairs)]
+        return ols, x, feds
+
+    @staticmethod
+    def _cfg(**edit):
+        return replace(LktConfig(latent_dim=3, hidden_width=5, mine_hidden=(6, 6),
+                                 batch_size=10, epochs=3, mi_weight=0.4), **edit)
+
+    @staticmethod
+    def _same(got, want):
+        assert got.enc.params.tobytes() == want.enc.params.tobytes()
+        assert got.keys.tobytes() == want.keys.tobytes()
+        assert (got.provenance, got.nl_columns) == (want.provenance, want.nl_columns)
+        assert got.history == {k: v for k, v in want.history.items() if k in got.history}
+
+    @pytest.mark.parametrize("k_pairs, source, seeds, weight", [
+        (1, "local", [4], 0.4),
+        (2, "local", [4, 4], 0.4),
+        (5, "local", [4] * 5, 0.4),
+        (2, "overlap", [4, 4], 0.4),
+        (5, "overlap", [4] * 5, 0.4),
+        (5, "local", [3, 9, 3, 0, 12], 0.4),
+        (3, "overlap", [3, 9, 1], 0.4),
+        (1, "local", [4], 0.0),
+        (3, "overlap", [4, 7, 4], 0.0),
+    ], ids=["K1", "K2", "K5", "K2-overlap", "K5-overlap", "K5-own-seeds",
+            "K3-overlap-own-seeds", "K1-weight-0", "K3-weight-0"])
+    def test_matches_the_per_pair_loop_bit_for_bit(self, k_pairs, source, seeds, weight):
+        # 43 rows in batches of 10: the last batch of 3 takes a step, and the
+        # 12 overlap rows are cycled through within an epoch
+        ols, x, feds = self._pairs(k_pairs)
+        cfg = self._cfg(reconstruction_source=source, mi_weight=weight)
+        names = [f"p{k}" for k in range(k_pairs)]
+        got = lkt_train(ols, x, feds, cfg, seeds, names)
+        want = [_reference_train(o, x, f, cfg, s, name)
+                for o, f, s, name in zip(ols, feds, seeds, names)]
+        assert len(got) == k_pairs
+        for g, w in zip(got, want):
+            self._same(g, w)
+            assert set(g.history) == ({"loss", "recons", "mi"} if weight else {"loss", "recons"})
+        drawn = build_model(4, 4, 5, cfg, seeds[0])
+        assert want[0].enc.params.tobytes() != drawn.enc.params.tobytes()
+
+    def test_weight_0_runs_no_critic(self, monkeypatch):
+        # the critic is drawn, so every later draw is where the full step
+        # has it, but no pass runs through it and it takes no step
+        ols, x, feds = self._pairs(3)
+        cfg = self._cfg(mi_weight=0.0)
+        pairs = _trained_pairs(monkeypatch)
+        widths = []  # the output width of every net a forward pass runs through
+        real_forward = DenseNet.forward
+        monkeypatch.setattr(DenseNet, "forward", lambda net, *a, **k: (
+            widths.append(net.output_dim) or real_forward(net, *a, **k)))
+        monkeypatch.setattr(lkt, "_mine_ascent", None)
+        for k_pairs in (3, 1):
+            widths.clear()
+            lkt_train(ols[:k_pairs], x, feds[:k_pairs], cfg, [0, 0, 1][:k_pairs])
+            assert sorted(set(widths)) == [3, 4]  # the encoders and the decoders
+        # a one-pair training steps its pair: the critic it drew never moved
+        assert [p.mine.output_dim for p in pairs] == [1] * 4
+        drawn = build_model(4, 4, 5, cfg, 0)
+        assert pairs[-1].mine.params.tobytes() == drawn.mine.params.tobytes()
+        assert pairs[-1].enc.params.tobytes() != drawn.enc.params.tobytes()
+
+    def test_steps_every_pair_in_one_pass(self, monkeypatch):
+        # one transfer step and one critic step per batch, each on the stack
+        steps = {"loss_and_grads": [], "_mine_ascent": []}
+        for name in steps:
+            real = getattr(lkt, name)
+
+            def counted(pair, *args, _real=real, _name=name, **kwargs):
+                steps[_name].append(pair.enc.params.shape)
+                return _real(pair, *args, **kwargs)
+
+            monkeypatch.setattr(lkt, name, counted)
+        ols, x, feds = self._pairs(4)
+        cfg = self._cfg()
+        lkt_train(ols, x, feds, cfg, [1] * 4)
+        stacked = [(4, lkt_train(ols[:1], x, feds[:1], cfg, [1])[0].enc.params.size)] * 15
+        assert steps == {"loss_and_grads": stacked + [stacked[0][1:]] * 15,
+                         "_mine_ascent": stacked + [stacked[0][1:]] * 15}
+
+    @pytest.mark.parametrize("edit", [
+        dict(seeds=[0]), dict(provenances=["a", "b", "c"]), dict(h_t_ols=[]),
+        dict(h_t_ols=[], h_feds=[], seeds=[], provenances=[]),
+    ], ids=["one-seed-short", "one-name-too-many", "no-overlap-tables", "no-pairs"])
+    def test_every_pair_needs_its_inputs(self, edit):
+        ols, x, feds = self._pairs(2)
+        args = dict(h_t_ols=ols, h_t_nl=x, h_feds=feds, config=self._cfg(), seeds=[0, 1],
+                    provenances=["a", "b"])
+        with pytest.raises(ValueError, match="one overlap table, seed and provenance per "
+                                             "federated representation"):
+            lkt_train(**{**args, **edit})
+
+    def test_pairs_need_one_shape(self):
+        ols, x, feds = self._pairs(2)
+        narrow = _fed(np.ones((12, 4)))
+        with pytest.raises(ValueError, match=r"one federated representation shape, "
+                                             r"got \[\(12, 5\), \(12, 4\)\]"):
+            lkt_train(ols, x, [feds[0], narrow], self._cfg(), [0, 0])
+        short = _feature_matrix(np.ones((11, 4)), prefix="o")
+        with pytest.raises(ValueError, match=r"one reconstruction table shape"):
+            lkt_train([ols[0], short], x, feds, self._cfg(reconstruction_source="overlap"),
+                      [0, 0])
+        # a table the decoders do not rebuild may differ
+        lkt_train([ols[0], short], x, feds, self._cfg(reconstruction_source="local"), [0, 0])
+
+    @staticmethod
+    def _divergence_epoch(ols, x, feds, cfg, k, seed):
+        with np.errstate(all="ignore"):
+            try:
+                _reference_train(ols[k], x, feds[k], cfg, seed)
+            except LktDivergenceError as exc:
+                return exc.epoch
+        return None
+
+    def test_a_later_pair_that_diverges_first_yields_the_per_pair_error(self):
+        # pair 2 diverges in epoch 0 and pair 1 in a later epoch: training
+        # the pairs one after another stops at pair 1, and so does the stack.
+        # Each epoch rebuilds 12 of the 40 overlap rows, so the epoch in
+        # which a pair first reads its overflowing row follows that row.
+        cfg = self._cfg(reconstruction_source="overlap", epochs=4)
+        seeds = [5, 6, 7]
+        _, x, feds = self._pairs(3, n_rows=12, n_overlap=40)
+        first_read = {}  # (pair, epoch) -> an overflowing row that pair first reads then
+        for k in (1, 2):
+            for row in range(40):
+                trial, _, _ = self._pairs(3, n_rows=12, n_overlap=40, big={k: row})
+                epoch = self._divergence_epoch(trial, x, feds, cfg, k, seeds[k])
+                first_read.setdefault((k, epoch), row)
+        late = min(e for k, e in first_read if k == 1 and e)
+        ols, _, _ = self._pairs(3, n_rows=12, n_overlap=40,
+                                big={1: first_read[1, late], 2: first_read[2, 0]})
+        assert self._divergence_epoch(ols, x, feds, cfg, 0, seeds[0]) is None
+        with np.errstate(all="ignore"), pytest.raises(LktDivergenceError) as exc:
+            lkt_train(ols, x, feds, cfg, seeds)
+        assert (exc.value.seed, exc.value.epoch, exc.value.provenance) == (6, late, "pair-1")
+        assert str(exc.value) == f"training diverged (loss not finite) at epoch {late}, seed 6"
+
+    def test_five_pairs_peak_under_four_times_one(self):
+        # many-hospitals shapes: 1380 shared rows of 16 columns, 120 overlap
+        # rows, 22 federated columns; the shared table is read, not copied
+        rng = np.random.default_rng(0)
+        x = _feature_matrix(rng.normal(size=(1380, 16)))
+        ol = _feature_matrix(rng.normal(size=(120, 16)), prefix="o")
+        feds = [_fed(rng.normal(size=(120, 22))) for _ in range(5)]
+        cfg = LktConfig(latent_dim=5, mine_hidden=(32, 32), reconstruction_source="local",
+                        epochs=1, hidden_width=12, mi_weight=0.1)
+        peaks = []
+        for k in (1, 5):
+            tracemalloc.start()
+            try:
+                lkt_train([ol] * k, x, feds[:k], cfg, [500] * k)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 4 * peaks[0], peaks
 
 
 class TestConfig:
@@ -463,8 +715,8 @@ class TestFinetune:
         feds = [_fed(rng.normal(size=(10, 3))), _fed(rng.normal(size=(10, 3)))]
         cfg = LktConfig(latent_dim=3, epochs=2, hidden_width=4, mine_hidden=(4, 4),
                         finetune_epochs=4, finetune_lr=1e-2)
-        models = [lkt_train(h_ol, x, feds[0], cfg, seed=seed_a, provenance="pair-0"),
-                  lkt_train(h_ol, x, feds[1], cfg, seed=seed_b, provenance="pair-1")]
+        models = [_train_one(h_ol, x, fed, cfg, seed, f"pair-{k}")
+                  for k, (fed, seed) in enumerate(zip(feds, (seed_a, seed_b)))]
         return models, x, feds, cfg
 
     def test_single_pair_loss_is_exact_zero(self):
@@ -855,6 +1107,28 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=re.escape(
                 f"checkpoint model {name}: '{key}' has the wrong JSON type ({kind})")):
             load_models(self._tampered(tmp_path, key, value))
+
+    @pytest.mark.parametrize("where, what", [
+        (("keys", 3), "keys"),
+        (("enc", "layers", 0, "b"), "network weights"),
+        (("enc", "layers", 1, "w", 2), "network weights"),
+    ], ids=["keys-row", "bias", "weight-row"])
+    def test_rejects_a_boolean_in_an_array(self, tmp_path, where, what):
+        # a JSON boolean would otherwise be read as 1.0 or 0.0
+        import json
+
+        path = tmp_path / "models.json"
+        save_models(path, self._models(), config_hash="h")
+        doc = json.loads(path.read_text())
+        *outer, last = where
+        target = doc["models"][1]
+        for k in outer:
+            target = target[k]
+        target[last] = [True, False, True][:len(target[last])]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"checkpoint model 1 'pair-1': {what} hold a boolean") + "$"):
+            load_models(path)
 
     def test_rejects_column_names_that_are_not_strings(self, tmp_path):
         with pytest.raises(ValueError, match=re.escape(

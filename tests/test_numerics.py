@@ -383,6 +383,30 @@ class TestDenseNetMatchesTheReferenceLoop:
             stacked.adam_step(adam, grads, lr=1e-2)
             assert _bits(stacked.params) == _bits(net.params for net in nets)
 
+    def test_one_input_row_serves_every_net(self):
+        # a (1, n, fan_in) input is every net's: the same bits as the
+        # input repeated per net
+        rng = np.random.default_rng(5)
+        stacked = DenseNet.stack([DenseNet.create([5, 6, 2], ["sigmoid", "linear"], rng)
+                                  for _ in range(3)])
+        x = rng.standard_normal((1, 7, 5))
+        out, cache = stacked.forward(x)
+        ref_out, ref_cache = stacked.forward(np.repeat(x, 3, axis=0))
+        g = rng.standard_normal(out.shape)
+        grads, gx = stacked.backward(cache, g)
+        ref_grads, ref_gx = stacked.backward(ref_cache, g)
+        assert _bits([out, grads, gx]) == _bits([ref_out, ref_grads, ref_gx])
+
+    def test_unstack_copies_each_row_out(self):
+        rng = np.random.default_rng(6)
+        nets = [DenseNet.create([3, 4, 2], ["tanh", "linear"], rng) for _ in range(3)]
+        stacked = DenseNet.stack(nets)
+        rows = stacked.unstack()
+        assert [r.layout for r in rows] == [n.layout for n in nets]
+        assert _bits(r.params for r in rows) == _bits(n.params for n in nets)
+        rows[0].params[:] = 0.0  # a copy: the stack keeps its row
+        assert stacked.params[0].tobytes() == nets[0].params.tobytes()
+
     def test_stacked_nets_share_one_layout(self):
         rng = np.random.default_rng(0)
         nets = [DenseNet.create([3, 4, 2], ["tanh", "linear"], rng) for _ in range(2)]
