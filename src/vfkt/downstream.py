@@ -41,7 +41,8 @@ class DownstreamParams:
 
 def stratified_split(labels: Array, params: DownstreamParams, seed):
     """Per-class train/test split by ``params.train_fraction``; with
-    ``params.few_shot_fraction`` set, the training side is subsampled."""
+    ``params.few_shot_fraction`` set, the training side is subsampled, and a
+    class the subsample misses gets its first row in the subsample's order."""
     rng = np.random.default_rng(seed)
     labels = np.asarray(labels)
     train_idx, test_idx = [], []
@@ -56,30 +57,28 @@ def stratified_split(labels: Array, params: DownstreamParams, seed):
     test_idx = np.sort(np.asarray(test_idx, dtype=int))
     if params.few_shot_fraction is not None:
         keep = max(2, int(round(params.few_shot_fraction * train_idx.size)))
-        train_idx = np.sort(rng.permutation(train_idx)[:keep])
+        perm = rng.permutation(train_idx)
+        kept = perm[:keep]
+        # each class the subsample misses gets its first row in ``perm``
+        first = perm[np.unique(labels[perm], return_index=True)[1]]
+        train_idx = np.union1d(kept, first[~np.isin(labels[first], labels[kept])])
     return train_idx, test_idx
 
 
-def _logit_grad(logits: Array, onehot: Array, out: Array) -> Array:
-    """``(softmax_rows(logits) - onehot) / n`` into ``out``, bit for bit.
+def _softmax_grad_by_class(logits: Array, onehot: Array, out: Array) -> Array:
+    """``(softmax(logits) - onehot) / n`` into ``out``, over class-major (c, n)
+    arrays, bit for bit the row-wise softmax of the (n, c) transposes.
 
-    numpy reduces the rows of a narrow n×c array one short row at a time,
-    so the row max and the row sum run here over the c columns instead,
-    with O(c) calls on n-long columns. A max is exact in any order. numpy
-    sums each row pairwise, which for fewer than 8 terms is the plain
-    left-to-right fold done here; from 8 columns on, ``np.sum`` is kept.
+    A max is exact in any order. numpy sums each n×c row pairwise, which for
+    fewer than 8 terms is the plain left-to-right fold over the c rows done
+    here; from 8 classes on, the sum runs on an (n, c) copy.
     """
-    c = logits.shape[1]
-    mx = functools.reduce(np.maximum, [logits[:, j] for j in range(c)])
-    for j in range(c):
-        np.subtract(logits[:, j], mx, out=out[:, j])
+    c, n = logits.shape
+    np.subtract(logits, functools.reduce(np.maximum, logits), out=out)
     np.exp(out, out=out)
-    exps = [out[:, j] for j in range(c)]
-    total = functools.reduce(np.add, exps) if c < 8 else out.sum(axis=-1)
-    for e in exps:
-        e /= total
+    out /= functools.reduce(np.add, out) if c < 8 else np.ascontiguousarray(out.T).sum(axis=-1)
     out -= onehot
-    out /= out.shape[0]
+    out /= n
     return out
 
 
@@ -89,9 +88,17 @@ def train_classifier(x: Array, y: Array, kind: str, seed,
     """Softmax classifier trained with full-batch Adam; deterministic per seed.
     Returns the network, whose outputs are the class logits.
 
-    ``logistic`` is a single softmax layer; ``mlp`` adds two relu hidden
-    layers of width 32. Labels must lie in ``[0, num_classes)``; without
-    ``num_classes``, the largest label plus one.
+    ``logistic`` is a single softmax layer; ``mlp`` puts two relu hidden
+    layers of width 32 in front of it. Labels must lie in ``[0, num_classes)``;
+    without ``num_classes``, the largest label plus one.
+
+    The softmax head runs class-major: each epoch copies its logits ``a @ W``
+    transposed into a (c, n) array, so the bias add, the softmax gradient and
+    the bias gradient (the sequential fold ``sum(axis=0)`` makes over the
+    (n, c) rows, here the last column of ``np.add.accumulate``) run on c
+    contiguous n-long rows instead of n rows of c. The mlp's relu layers are
+    a ``DenseNet`` body with one forward and one backward per epoch. The
+    trained weights are bit for bit those of the plain row-wise loop.
     """
     labels = np.asarray(y, dtype=np.int64)
     if num_classes is None:
@@ -107,26 +114,40 @@ def train_classifier(x: Array, y: Array, kind: str, seed,
 
     rng = np.random.default_rng(seed)
     if kind == "logistic":
-        net = DenseNet.create([x.shape[1], num_classes], ["linear"], rng)
+        body = None
         epochs = 400 if epochs is None else epochs
         lr = 0.05 if lr is None else lr
     elif kind == "mlp":
-        net = DenseNet.create([x.shape[1], 32, 32, num_classes],
-                              ["relu", "relu", "linear"], rng)
+        body = DenseNet.create([x.shape[1], 32, 32], ["relu", "relu"], rng)
         epochs = 300 if epochs is None else epochs
         lr = 0.01 if lr is None else lr
     else:
         raise ValueError(f"unknown classifier kind {kind!r}")
+    # drawn after the body: the draws of one [d, 32, 32, c] net
+    head = DenseNet.create([x.shape[1] if body is None else 32, num_classes], ["linear"], rng)
 
-    onehot = np.zeros((labels.size, num_classes))
-    onehot[np.arange(labels.size), labels] = 1.0
-    ws, d_logits, adam = {}, np.empty_like(onehot), net.adam_state()
+    n, c = labels.size, num_classes
+    w, b = head.layers[0].w, head.layers[0].b
+    onehot = np.zeros((c, n))
+    onehot[labels, np.arange(n)] = 1.0
+    z, z_t, g_t, folds = np.empty((n, c)), np.empty((c, n)), np.empty((c, n)), np.empty((c, n))
+    head_grad = np.empty_like(head.params)
+    grad_w, grad_b = head_grad[:-c].reshape(w.shape), head_grad[-c:]
+    head_adam, ws = head.adam_state(), {}
+    body_adam = None if body is None else body.adam_state()
     for _ in range(epochs):
-        logits, cache = net.forward(x, ws)
-        grads, _ = net.backward(cache, _logit_grad(logits, onehot, d_logits), ws,
-                                inputs=False)
-        net.adam_step(adam, grads, lr)
-    return net
+        a, cache = (x, None) if body is None else body.forward(x, ws)
+        np.matmul(a, w, out=z)
+        z_t[...] = z.T
+        z_t += b[:, None]
+        _softmax_grad_by_class(z_t, onehot, g_t)
+        np.matmul(a.T, g_t.T, out=grad_w)  # a contiguous copy of a.T rounds differently
+        grad_b[:] = np.add.accumulate(g_t, axis=1, out=folds)[:, -1]
+        if body is not None:
+            d_a = np.ascontiguousarray(g_t.T) @ w.T
+            body.adam_step(body_adam, body.backward(cache, d_a, ws, inputs=False)[0], lr)
+        head.adam_step(head_adam, head_grad, lr)
+    return head if body is None else DenseNet(body.layers + head.layers)
 
 
 def evaluate(net: DenseNet, x: Array, y: Array) -> float:

@@ -12,6 +12,7 @@ can be asserted (or audited) from the trace alone.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -401,6 +402,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None):
         raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
     if cfg.synthetic is None:
         raise ConfigError("sweeps require a synthetic dataset source")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ConfigError(f"sweep value {v!r} is not an integer")
     reports = []
     timings = []
     for v in values:

@@ -8,7 +8,7 @@ import pytest
 from vfkt.downstream import (
     DownstreamParams,
     RunReport,
-    _logit_grad,
+    _softmax_grad_by_class,
     config_fingerprint,
     evaluate,
     stratified_split,
@@ -58,6 +58,29 @@ class TestStratifiedSplit:
         few = stratified_split(y, DownstreamParams(few_shot_fraction=1.0), seed=3)
         for a, b in zip(few, full):
             np.testing.assert_array_equal(a, b)
+
+    def test_few_shot_keeps_every_class(self):
+        y = np.array([0] * 180 + [1] * 20)
+        params = DownstreamParams(few_shot_fraction=0.01)
+        for seed in range(20):
+            train, test = stratified_split(y, params, seed=seed)
+            full_train, full_test = stratified_split(y, DownstreamParams(), seed=seed)
+            assert set(y[train]) == {0, 1}
+            assert set(train) <= set(full_train)
+            np.testing.assert_array_equal(test, full_test)
+            assert train.size in (2, 3)
+
+    def test_few_shot_that_holds_every_class_is_unchanged(self):
+        y = np.array([0] * 50 + [1] * 50)
+        params = DownstreamParams(few_shot_fraction=0.1)
+        for seed in range(10):
+            full_train, _ = stratified_split(y, DownstreamParams(), seed=seed)
+            rng = np.random.default_rng(seed)
+            for _ in (0, 1):  # the per-class permutations stratified_split draws
+                rng.permutation(50)
+            want = np.sort(rng.permutation(full_train)[:8])
+            if set(y[want]) == {0, 1}:
+                np.testing.assert_array_equal(stratified_split(y, params, seed=seed)[0], want)
 
     def test_deterministic_per_seed(self):
         y = np.arange(60) % 3
@@ -137,18 +160,47 @@ def _reference_classifier(x, labels, kind, seed, num_classes, epochs):
 
 
 class TestEpochKernel:
-    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
-    @pytest.mark.parametrize("c", [2, 3, 5, 8])
-    @pytest.mark.parametrize("n", [2, 3, 77, 1600])
-    def test_parameters_match_the_plain_loop_bit_for_bit(self, kind, c, n):
+    @staticmethod
+    def _assert_matches_the_plain_loop(kind, c, n, d):
         rng = np.random.default_rng(100 * c + n)
-        x = rng.normal(size=(n, 6)) * 3.0
+        x = rng.normal(size=(n, d)) * 3.0
         labels = rng.permutation(np.arange(n) % c)
         clf = train_classifier(x, labels, kind, seed=7, num_classes=c, epochs=40)
         ref = _reference_classifier(x, labels, kind, seed=7, num_classes=c, epochs=40)
+        assert clf.layout == ref.layout
         for got, want in zip(clf.layers, ref.layers):
             assert got.w.tobytes() == want.w.tobytes()
             assert got.b.tobytes() == want.b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("c", [2, 3, 5, 8, 9])
+    @pytest.mark.parametrize("n", [2, 3, 77, 1600])
+    def test_parameters_match_the_plain_loop_bit_for_bit(self, kind, c, n):
+        self._assert_matches_the_plain_loop(kind, c, n, 6)
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("n, d", [(1104, 16), (1104, 41), (1600, 26), (77, 64)])
+    def test_benchmark_shapes_match_the_plain_loop_bit_for_bit(self, kind, n, d):
+        self._assert_matches_the_plain_loop(kind, 2, n, d)
+
+    @pytest.mark.parametrize("kind, passes", [("logistic", 0), ("mlp", 1)])
+    def test_an_epoch_runs_the_head_outside_densenet(self, monkeypatch, kind, passes):
+        calls = {"forward": 0, "backward": 0}
+
+        def spy(name):
+            real = getattr(DenseNet, name)
+
+            def counted(net, *args, **kwargs):
+                assert net.layout == (((6, 32), "relu"), ((32, 32), "relu"))
+                calls[name] += 1
+                return real(net, *args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(DenseNet, name, spy(name))
+        x, y = _blobs(n_per_class=10, d=6)
+        train_classifier(x, y, kind, seed=0, epochs=3)
+        assert calls == {"forward": 3 * passes, "backward": 3 * passes}
 
     @pytest.mark.parametrize("c", [1, 2, 3, 5, 8, 9])
     @pytest.mark.parametrize("n", [2, 3, 77, 1600])
@@ -162,10 +214,11 @@ class TestEpochKernel:
         onehot = np.zeros((n, c))
         onehot[np.arange(n), rng.integers(0, c, n)] = 1.0
         want = (softmax_rows(logits) - onehot) / n
-        out = np.empty((n, c))
-        got = _logit_grad(logits, onehot, out)
+        out = np.empty((c, n))
+        got = _softmax_grad_by_class(np.ascontiguousarray(logits.T),
+                                     np.ascontiguousarray(onehot.T), out)
         assert got is out
-        assert got.tobytes() == want.tobytes()
+        assert got.T.tobytes() == want.tobytes()
 
 
 class TestRunReport:

@@ -890,6 +890,16 @@ class TestSweep:
         with pytest.raises(ConfigError, match="overlap_count"):
             sweep(_tiny_config(), "overlap_count", [60])
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_a_value_that_is_not_an_integer_is_rejected(self, bad):
+        with pytest.raises(ConfigError, match=f"sweep value {bad!r} is not an integer"):
+            sweep(_tiny_config(), "num_data_hospitals", [1, bad])
+
+    def test_numpy_integers_are_integers(self):
+        reports, timings = sweep(_tiny_config(conditions=("local",)), "num_data_hospitals",
+                                 np.array([1]))
+        assert [r.value for r in reports] == [1] and type(timings[0]["value"]) is int
+
     def test_sweep_artifacts_and_timings(self, tmp_path):
         cfg = _tiny_config(conditions=("unitrans",))
         out = tmp_path / "sweep"
