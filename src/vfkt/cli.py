@@ -10,10 +10,9 @@ import json
 import sys
 from pathlib import Path
 
-from .data import write_csv
+from .data import ConfigError, from_dict, write_csv
 from .downstream import RunReport
-from .experiment import (SWEEP_AXES, ExperimentConfig, from_dict, render_reports,
-                         run_experiment, sweep)
+from .experiment import SWEEP_AXES, ExperimentConfig, render_reports, run_experiment, sweep
 from .synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -22,15 +21,16 @@ def _fail(code: int, message: str, **extra) -> int:
     return code
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _read(path: str, cls, what: str):
+    """The ``cls`` that the JSON file at ``path`` holds."""
     p = Path(path)
     if not p.exists():
-        raise FileNotFoundError(f"config file not found: {p}")
-    return ExperimentConfig.from_dict(json.loads(p.read_text()))
+        raise FileNotFoundError(f"{what} file not found: {p}")
+    return from_dict(cls, json.loads(p.read_text()))
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _read(args.config, ExperimentConfig, "config")
     reports = run_experiment(cfg, out_dir=args.out)
     for r in reports:
         print(f"{r.condition}: mean={r.mean:.4f} std={r.std:.4f} ({len(r.seeds)} seeds)")
@@ -38,7 +38,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _read(args.config, ExperimentConfig, "config")
     values = [int(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("no sweep values given")
@@ -56,16 +56,18 @@ def cmd_report(args) -> int:
     paths = sorted(in_dir.rglob("report_*.json"))
     if not paths:
         raise FileNotFoundError(f"no report_*.json files under {in_dir}")
-    reports = [RunReport.from_json(p.read_text()) for p in paths]
+    reports = []
+    for p in paths:
+        try:
+            reports.append(RunReport.from_json(p.read_text()))
+        except ValueError as exc:  # malformed JSON too
+            raise ConfigError(f"{p}: {exc}") from None
     print(render_reports(reports, args.format))
     return 0
 
 
 def cmd_gen_synthetic(args) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise FileNotFoundError(f"spec file not found: {spec_path}")
-    spec = from_dict(SyntheticSpec, json.loads(spec_path.read_text()))
+    spec = _read(args.spec, SyntheticSpec, "spec")
     task, data_parties = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,15 +1,19 @@
-"""Datasets, parties, and sample alignment.
+"""Datasets, parties, sample alignment, and the strict JSON reader.
 
 Value types here are immutable after construction: feature matrices freeze
 their numpy buffers so they can be shared between parties without copies.
+``from_dict`` builds a dataclass from a JSON document; it reads configs,
+LKT checkpoints and run reports alike.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -21,7 +25,74 @@ class DataError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Raised for a bad config: an unknown key, a wrong type, or a value a section rejects."""
+    """Raised for a bad config, checkpoint or report: an unknown key, a wrong type, a bad value."""
+
+
+def from_dict(cls, doc, path: str = ""):
+    """Build the dataclass ``cls`` from a JSON object, strictly.
+
+    A missing key takes the field's default; a nested dataclass field is
+    built recursively, a JSON array becomes a tuple, a list or, for an
+    ``Array`` field, a float array of any depth. An unknown key, a missing
+    required key, a section that is not an object, or a value whose type is
+    not the field's (a bool is no int, an int is a float, an array holds
+    numbers only) raises ConfigError naming its dotted path (``lkt.epoch``);
+    a value the section itself rejects raises it as ``<path>: <message>``
+    (``lkt: epochs must be >= 1``).
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config'} must be an object, got {type(doc).__name__}")
+    prefix = f"{path}." if path else ""
+    known = {f.name: f for f in fields(cls)}
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"unknown key {prefix}{key}")
+    for f in known.values():
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key {prefix}{f.name}")
+    hints = get_type_hints(cls)
+    values = {k: _field_value(hints[k], v, prefix + k) for k, v in doc.items()}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        if not path:
+            raise
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _field_value(tp, value, path: str):
+    if isinstance(tp, UnionType):  # T | None
+        if value is None:
+            return None
+        tp = next(a for a in get_args(tp) if a is not type(None))
+    if is_dataclass(tp):
+        return from_dict(tp, value, path)
+    origin = get_origin(tp)
+    if tp is Array or origin in (tuple, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
+        if tp is Array:
+            # one pass over the elements: astype alone would read true as 1.0
+            # and "1.5" as 1.5; a ragged row stays a list element
+            a = np.asarray(value, dtype=object)
+            bad = set(map(type, a.flat)) - {int, float}
+            if bad:
+                raise ConfigError(f"{path} must hold numbers only, got "
+                                  f"{min(t.__name__ for t in bad)}")
+            return a.astype(float)
+        items = get_args(tp)
+        if origin is list or items[-1] is Ellipsis:
+            items = (items[0],) * len(value)
+        elif len(items) != len(value):
+            raise ConfigError(f"{path} must have {len(items)} items, got {len(value)}")
+        return origin(_field_value(t, v, f"{path}[{i}]")
+                      for i, (t, v) in enumerate(zip(items, value)))
+    # bool is an int subclass, so it is rejected outright where it is not
+    # the declared type; an int stays an int in a float field, as written
+    ok = isinstance(value, (int, float) if tp is float else tp)
+    if not ok or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{path} must be {tp.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _freeze(a: Array) -> Array:

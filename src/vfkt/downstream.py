@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConfigError
+from .data import ConfigError, from_dict
 from .numerics import Array, DenseNet
 
 CONDITIONS = ("local", "unitrans", "ablation-no-mi", "ablation-no-cl")
@@ -172,7 +172,7 @@ class RunReport:
 
     def __post_init__(self):
         if len(self.seeds) != len(self.accuracies):
-            raise ValueError("one accuracy per seed required")
+            raise ConfigError("one accuracy per seed required")
 
     @property
     def mean(self) -> float:
@@ -201,10 +201,12 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
+        """The report ``to_json`` wrote, read by ``from_dict``; the derived
+        ``mean``, ``std`` and ``wall_clock_s`` are dropped unread."""
         doc = json.loads(text)
-        return cls(condition=doc["condition"], seeds=doc["seeds"],
-                   accuracies=doc["accuracies"], config_hash=doc["config_hash"],
-                   axis=doc.get("axis"), value=doc.get("value"))
+        if isinstance(doc, dict):
+            doc = {k: v for k, v in doc.items() if k not in ("mean", "std", "wall_clock_s")}
+        return from_dict(cls, doc, "report")
 
 
 def config_fingerprint(doc: dict) -> str:

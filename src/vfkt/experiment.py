@@ -2,11 +2,13 @@
 
 ``ExperimentConfig`` gathers the config sections, each defined in the
 module that reads it, and re-exports ``FrlParams``, ``DownstreamParams``
-and ``ConfigError``. A run is fully determined by its config: every random
-draw flows from the config seed, reports carry no timing, and rerunning a
-config reproduces report files byte for byte. Protocol traffic from the
-federated step is recorded per run so privacy and communication contracts
-can be asserted (or audited) from the trace alone.
+and ``ConfigError``; ``data.from_dict``, the strict JSON reader that also
+reads checkpoints and reports, builds it from a JSON document. A run is
+fully determined by its config: every random draw flows from the config
+seed, reports carry no timing, and rerunning a config reproduces report
+files byte for byte. Protocol traffic from the federated step is
+recorded per run so privacy and communication contracts can be asserted
+(or audited) from the trace alone.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 from . import lkt as lkt_mod
 from .bus import MessageBus
-from .data import (ConfigError, DataError, FeatureMatrix, PartyState, load_csv,
+from .data import (ConfigError, DataError, FeatureMatrix, PartyState, from_dict, load_csv,
                    psi_intersect, standardize)
 from .downstream import (CONDITIONS, DownstreamParams, RunReport, config_fingerprint,
                          evaluate, stratified_split, train_classifier)
@@ -84,62 +84,6 @@ class ExperimentConfig:
     @property
     def config_hash(self) -> str:
         return config_fingerprint(self.to_dict())
-
-
-def from_dict(cls, doc, path: str = ""):
-    """Build the config dataclass ``cls`` from a JSON object, strictly.
-
-    A missing key takes the field's default; a nested dataclass field is
-    built recursively and a list becomes a tuple for a tuple field. An
-    unknown key, a missing required key, a section that is not an object, or
-    a value whose type is not the field's (a bool is no int, an int is a
-    float) raises ConfigError naming its dotted path (``lkt.epoch``); a
-    value the section itself rejects raises it as ``<path>: <message>``
-    (``lkt: epochs must be >= 1``).
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config'} must be an object, got {type(doc).__name__}")
-    prefix = f"{path}." if path else ""
-    known = {f.name: f for f in fields(cls)}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown key {prefix}{key}")
-    for f in known.values():
-        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing required key {prefix}{f.name}")
-    hints = get_type_hints(cls)
-    values = {k: _field_value(hints[k], v, prefix + k) for k, v in doc.items()}
-    try:
-        return cls(**values)
-    except ConfigError as exc:
-        if not path:
-            raise
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _field_value(tp, value, path: str):
-    if isinstance(tp, UnionType):  # T | None
-        if value is None:
-            return None
-        tp = next(a for a in get_args(tp) if a is not type(None))
-    if is_dataclass(tp):
-        return from_dict(tp, value, path)
-    if get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
-        items = get_args(tp)
-        if items[-1] is Ellipsis:
-            items = (items[0],) * len(value)
-        elif len(items) != len(value):
-            raise ConfigError(f"{path} must have {len(items)} items, got {len(value)}")
-        return tuple(_field_value(t, v, f"{path}[{i}]")
-                     for i, (t, v) in enumerate(zip(items, value)))
-    # bool is an int subclass, so it is rejected outright where it is not
-    # the declared type; an int stays an int in a float field, as written
-    ok = isinstance(value, (int, float) if tp is float else tp)
-    if not ok or (isinstance(value, bool) and tp is not bool):
-        raise ConfigError(f"{path} must be {tp.__name__}, got {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ConfigError, FeatureMatrix, standardize_columns
+from .data import ConfigError, FeatureMatrix, from_dict, standardize_columns
 from .frl import FederatedRepresentation
-from .numerics import (ACTIVATIONS, AdamState, Array, DenseNet, _buf, _json_floats,
-                       logmeanexp, softmax_rows)
+from .numerics import (ACTIVATIONS, AdamState, Array, DenseLayer, DenseNet, _buf, logmeanexp,
+                       softmax_rows)
 
 CHECKPOINT_VERSION = 3
 
@@ -663,13 +663,35 @@ def apply_to_new_samples(models: list[LktModel], x_new: FeatureMatrix) -> Augmen
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class CheckpointEncoder:
+    layers: tuple[DenseLayer, ...]
+
+
+@dataclass(frozen=True)
+class CheckpointEntry:  # an LktModel without its training curves
+    enc: CheckpointEncoder
+    keys: Array
+    temperature: float
+    provenance: str
+    nl_columns: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    version: int
+    config_hash: str
+    models: list[dict]  # each read as a CheckpointEntry, so an error names its model
+
+
 def save_models(path, models: list[LktModel], config_hash: str) -> None:
     doc = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "models": [
             {
-                "enc": m.enc.to_dict(),
+                "enc": {"layers": [{"w": l.w.tolist(), "b": l.b.tolist(),
+                                    "activation": l.activation} for l in m.enc.layers]},
                 "keys": m.keys.tolist(),
                 "temperature": m.temperature,
                 "provenance": m.provenance,
@@ -684,53 +706,39 @@ def save_models(path, models: list[LktModel], config_hash: str) -> None:
 
 
 def load_models(path):
-    """Returns (models, config_hash); rejects a document that is not an
-    object with a ``models`` list and a ``config_hash`` string and, naming
-    the model by its index and its provenance, an entry that is not an
-    object, a missing or unknown key, a value of the wrong JSON type, a
-    non-string column name, a bad encoder, mismatched schema widths,
-    non-finite keys, a boolean among the keys or weights and a temperature
-    that is not finite and > 0."""
+    """Returns (models, config_hash). ``data.from_dict``, the reader of
+    configs and reports, reads the document as a ``Checkpoint`` and each
+    entry as a ``CheckpointEntry``; what spans fields is checked here: the
+    version, an encoder of finite matrices that chain, its widths against
+    ``nl_columns`` and ``keys``, finite keys and a finite temperature > 0.
+    An entry's error names the model by its index and its provenance."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("checkpoint is not a JSON object")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}; "
-                         f"this build reads version {CHECKPOINT_VERSION}")
-    for key, kind in (("models", list), ("config_hash", str)):
-        if not isinstance(doc.get(key), kind):
-            raise ValueError(f"checkpoint {key!r} is missing or has the wrong JSON type")
-    entry_types = {"enc": dict, "keys": list, "temperature": (int, float), "provenance": str,
-                   "nl_columns": list}
+        doc = from_dict(Checkpoint, json.load(fh), "checkpoint")
+    if doc.version != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {doc.version}; "
+                          f"this build reads version {CHECKPOINT_VERSION}")
     models = []
-    for i, md in enumerate(doc["models"]):
-        name = f"{i} {md['provenance']!r}" if isinstance(md, dict) and "provenance" in md else i
+    for i, md in enumerate(doc.models):
+        name = f"{i} {md['provenance']!r}" if "provenance" in md else i
         try:
-            if not isinstance(md, dict):
-                raise ValueError("not a JSON object")
-            for what, names in (("missing", entry_types.keys() - md.keys()),
-                                ("unknown", md.keys() - entry_types.keys())):
-                if names:
-                    raise ValueError(f"{what} key(s) {sorted(names)}")
-            for key, kind in entry_types.items():
-                if isinstance(md[key], bool) or not isinstance(md[key], kind):
-                    raise ValueError(f"{key!r} has the wrong JSON type ({type(md[key]).__name__})")
-            if not all(isinstance(c, str) for c in md["nl_columns"]):
-                raise ValueError("'nl_columns' holds a name that is not a string")
-            enc = DenseNet.from_dict(md["enc"])
-            keys = _json_floats(md["keys"], "keys")
-            temperature = float(md["temperature"])
-            if enc.input_dim != len(md["nl_columns"]):
-                raise ValueError("schema mismatch: encoder input width")
-            if keys.ndim != 2 or keys.shape[1] != enc.output_dim:
-                raise ValueError("schema mismatch: latent width")
-            if not np.all(np.isfinite(keys)):
-                raise ValueError("keys are not finite")
+            e = from_dict(CheckpointEntry, md)
+            temperature = float(e.temperature)
+            for l in e.enc.layers:
+                if l.w.ndim != 2:
+                    raise ConfigError(f"weights of shape {l.w.shape} are not a matrix")
+            enc = DenseNet(list(e.enc.layers))
+            if not np.all(np.isfinite(enc.params)):
+                raise ConfigError("network weights are not finite")
+            if enc.input_dim != len(e.nl_columns):
+                raise ConfigError("schema mismatch: encoder input width")
+            if e.keys.ndim != 2 or e.keys.shape[1] != enc.output_dim:
+                raise ConfigError("schema mismatch: latent width")
+            if not np.all(np.isfinite(e.keys)):
+                raise ConfigError("keys are not finite")
             if not (np.isfinite(temperature) and temperature > 0):
-                raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-        except ValueError as exc:
-            raise ValueError(f"checkpoint model {name}: {exc}") from None
-        models.append(LktModel(enc=enc, keys=keys, temperature=temperature,
-                               provenance=md["provenance"], nl_columns=tuple(md["nl_columns"])))
-    return models, doc["config_hash"]
+                raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
+        except (ValueError, OverflowError) as exc:  # an int beyond float range
+            raise ConfigError(f"checkpoint model {name}: {exc}") from None
+        models.append(LktModel(enc=enc, keys=e.keys, temperature=temperature,
+                               provenance=e.provenance, nl_columns=e.nl_columns))
+    return models, doc.config_hash

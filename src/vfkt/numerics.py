@@ -203,17 +203,6 @@ def _buf(ws: dict | None, key, shape) -> Array | None:
     return b
 
 
-def _json_floats(value, what: str) -> Array:
-    """A JSON array of numbers, nested to any depth, as a float array.
-
-    ``np.asarray`` would read a JSON boolean as 1.0 or 0.0; one is rejected
-    as "<what> hold a boolean"."""
-    a = np.asarray(value, dtype=object)
-    if bool in map(type, a.flat):
-        raise ValueError(f"{what} hold a boolean")
-    return a.astype(float)
-
-
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
@@ -411,32 +400,3 @@ class DenseNet:
 
     def copy(self) -> "DenseNet":
         return DenseNet([DenseLayer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers])
-
-    def to_dict(self) -> dict:
-        return {
-            "layers": [
-                {"w": l.w.tolist(), "b": l.b.tolist(), "activation": l.activation}
-                for l in self.layers
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DenseNet":
-        """The one net ``to_dict`` wrote; stacked (3-D) weights are rejected."""
-        try:
-            if not (isinstance(d["layers"], list)
-                    and all(isinstance(l, dict) for l in d["layers"])):
-                raise ValueError("network layers must be a list of objects")
-            layers = [
-                DenseLayer(_json_floats(l["w"], "network weights"),
-                           _json_floats(l["b"], "network weights"), l["activation"])
-                for l in d["layers"]
-            ]
-        except KeyError as exc:
-            raise ValueError(f"network is missing key {exc.args[0]!r}") from None
-        for l in layers:
-            if l.w.ndim != 2:
-                raise ValueError(f"weights of shape {l.w.shape} are not a matrix")
-        if not all(np.all(np.isfinite(x)) for l in layers for x in (l.w, l.b)):
-            raise ValueError("network weights are not finite")
-        return cls(layers)

@@ -40,6 +40,11 @@ class SyntheticSpec:
             raise ConfigError("data_features must name at least one data party")
         if self.task_features < 1 or any(f < 1 for f in self.data_features):
             raise ConfigError("feature counts must be positive")
+        for name in ("noise", "label_noise"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not np.isfinite(self.task_signal):
+            raise ConfigError(f"task_signal must be finite, got {self.task_signal}")
         object.__setattr__(self, "data_features", tuple(self.data_features))
 
 

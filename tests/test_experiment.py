@@ -14,8 +14,8 @@ import pytest
 from vfkt import lkt
 from vfkt.bus import MessageBus
 from vfkt.cli import main
-from vfkt.data import (DataError, FeatureMatrix, OverlapIndex, PartyState, standardize,
-                       standardize_columns, write_csv)
+from vfkt.data import (DataError, FeatureMatrix, OverlapIndex, PartyState, from_dict,
+                       standardize, standardize_columns, write_csv)
 from vfkt.experiment import (
     ConfigError,
     CsvSource,
@@ -26,7 +26,6 @@ from vfkt.experiment import (
     PairRun,
     PipelineResult,
     add_data_hospital,
-    from_dict,
     prepare_dataset,
     render_reports,
     run_condition,
@@ -97,6 +96,20 @@ class TestSyntheticSpec:
             SyntheticSpec(latent_dim=3, label_coords=4)
         with pytest.raises(ConfigError, match="positive"):
             SyntheticSpec(data_features=(0,))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("noise", -0.3, "noise must be finite and >= 0, got -0.3"),
+        ("noise", float("inf"), "noise must be finite and >= 0, got inf"),
+        ("label_noise", -1.0, "label_noise must be finite and >= 0, got -1.0"),
+        ("label_noise", float("nan"), "label_noise must be finite and >= 0, got nan"),
+        ("task_signal", float("nan"), "task_signal must be finite, got nan"),
+        ("task_signal", float("-inf"), "task_signal must be finite, got -inf"),
+    ])
+    def test_rejects_bad_noise_settings(self, field, value, message):
+        # unchecked, a NaN or negative label_noise reads as no label noise,
+        # and a NaN task_signal fails only later, as a DataError
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SyntheticSpec(**{field: value})
 
 
 class TestGenerateSynthetic:
@@ -1015,3 +1028,17 @@ class TestCli:
     def test_report_empty_dir_exits_2(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"condition": "x"}', "missing required key report.seeds"),
+        ('{"condition": "x", "seeds": [0], "accuracies": [true], "config_hash": "h"}',
+         "report.accuracies[0] must be float, got bool"),
+        ("[]", "report must be an object, got list"),
+        ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ], ids=["missing-seeds", "boolean-accuracy", "not-an-object", "not-json"])
+    def test_report_names_the_file_it_could_not_read(self, tmp_path, capsys, text, message):
+        path = tmp_path / "report_x.json"
+        path.write_text(text)
+        assert main(["report", "--in", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == f"ConfigError: {path}: {message}"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vfkt import lkt
-from vfkt.data import FeatureMatrix, OverlapIndex, standardize, standardize_columns
+from vfkt.data import ConfigError, FeatureMatrix, OverlapIndex, standardize, standardize_columns
 from vfkt.frl import FederatedRepresentation
 from vfkt.lkt import (
     LktConfig,
@@ -458,7 +458,8 @@ class TestLktTrain:
         # ... so auto reconstructs the local rows, exactly as local does
         auto, local = (_train_one(renamed, x, fed, replace(cfg, reconstruction_source=source),
                                   seed=0) for source in ("auto", "local"))
-        assert auto.enc.to_dict() == local.enc.to_dict()
+        assert auto.enc.layout == local.enc.layout
+        assert auto.enc.params.tobytes() == local.enc.params.tobytes()
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
@@ -739,7 +740,7 @@ class TestFinetune:
         # the same encoders: its output fine-tunes as its reloaded copy does
         models, x, feds, cfg = self._trained_pair()
         once = lkt_finetune_contrastive(models, x, cfg, seed=0)
-        rebuilt = [LktModel(enc=DenseNet.from_dict(m.enc.to_dict()), keys=m.keys.copy(),
+        rebuilt = [LktModel(enc=m.enc.copy(), keys=m.keys.copy(),
                             temperature=m.temperature, provenance=m.provenance,
                             nl_columns=m.nl_columns) for m in once]
         a = lkt_finetune_contrastive(once, x, cfg, seed=1)
@@ -1077,41 +1078,45 @@ class TestCheckpoints:
             load_models(path)
 
     @pytest.mark.parametrize("enc, match", [
-        ({}, "network is missing key 'layers'"),
+        ({}, "missing required key enc.layers"),
         ({"layers": [{"w": [[0.0, 0.0]] * 4, "b": [0.0, 0.0]}]},
-         "network is missing key 'activation'"),
-        ({"layers": 5}, "network layers must be a list of objects"),
-    ], ids=["no-layers", "no-activation", "layers-not-a-list"])
+         "missing required key enc.layers[0].activation"),
+        ({"layers": 5}, "enc.layers must be a list, got int"),
+        ({"layers": [{"w": [[0.0, 0.0, 0.0]] * 4, "b": [0.0, 0.0], "activation": "linear"}]},
+         "bias of shape (2,) for weights of shape (4, 3)"),
+        ({"layers": [{"w": [0.0] * 4, "b": [0.0] * 4, "activation": "linear"}]},
+         "weights of shape (4,) are not a matrix"),
+    ], ids=["no-layers", "no-activation", "layers-not-a-list", "bias-length", "1-d-weights"])
     def test_rejects_a_malformed_encoder(self, tmp_path, enc, match):
         with pytest.raises(ValueError, match=re.escape(f"checkpoint model 1 'pair-1': {match}")):
             load_models(self._tampered(tmp_path, "enc", enc))
 
     def test_rejects_stacked_encoder_weights(self, tmp_path):
         # a one-row stacked net is a valid DenseNet, but no checkpoint's encoder
-        stacked = DenseNet.stack([self._models()[1].enc]).to_dict()
+        stacked = DenseNet.stack([self._models()[1].enc])
+        enc = {"layers": [{"w": l.w.tolist(), "b": l.b.tolist(), "activation": l.activation}
+                          for l in stacked.layers]}
         match = re.escape("weights of shape (1, 4, 3) are not a matrix")
-        with pytest.raises(ValueError, match=match):
-            DenseNet.from_dict(stacked)
         with pytest.raises(ValueError, match="checkpoint model 1 'pair-1': " + match):
-            load_models(self._tampered(tmp_path, "enc", stacked))
+            load_models(self._tampered(tmp_path, "enc", enc))
 
-    @pytest.mark.parametrize("key, value, name, kind", [
-        ("enc", [1], "1 'pair-1'", "list"),
-        ("nl_columns", 2, "1 'pair-1'", "int"),
-        ("temperature", "0.5", "1 'pair-1'", "str"),
-        ("provenance", 7, "1 7", "int"),
-        ("temperature", True, "1 'pair-1'", "bool"),
+    @pytest.mark.parametrize("key, value, name, message", [
+        ("enc", [1], "1 'pair-1'", "enc must be an object, got list"),
+        ("nl_columns", 2, "1 'pair-1'", "nl_columns must be a list, got int"),
+        ("temperature", "0.5", "1 'pair-1'", "temperature must be float, got str"),
+        ("provenance", 7, "1 7", "provenance must be str, got int"),
+        ("temperature", True, "1 'pair-1'", "temperature must be float, got bool"),
     ], ids=["enc-not-an-object", "numeric-nl-columns", "temperature-a-string",
             "numeric-provenance", "temperature-a-boolean"])
-    def test_rejects_a_value_of_the_wrong_type(self, tmp_path, key, value, name, kind):
+    def test_rejects_a_value_of_the_wrong_type(self, tmp_path, key, value, name, message):
         with pytest.raises(ValueError, match=re.escape(
-                f"checkpoint model {name}: '{key}' has the wrong JSON type ({kind})")):
+                f"checkpoint model {name}: {message}")):
             load_models(self._tampered(tmp_path, key, value))
 
     @pytest.mark.parametrize("where, what", [
         (("keys", 3), "keys"),
-        (("enc", "layers", 0, "b"), "network weights"),
-        (("enc", "layers", 1, "w", 2), "network weights"),
+        (("enc", "layers", 0, "b"), "enc.layers[0].b"),
+        (("enc", "layers", 1, "w", 2), "enc.layers[1].w"),
     ], ids=["keys-row", "bias", "weight-row"])
     def test_rejects_a_boolean_in_an_array(self, tmp_path, where, what):
         # a JSON boolean would otherwise be read as 1.0 or 0.0
@@ -1127,26 +1132,28 @@ class TestCheckpoints:
         target[last] = [True, False, True][:len(target[last])]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="^" + re.escape(
-                f"checkpoint model 1 'pair-1': {what} hold a boolean") + "$"):
+                f"checkpoint model 1 'pair-1': {what} must hold numbers only, got bool") + "$"):
             load_models(path)
 
     def test_rejects_column_names_that_are_not_strings(self, tmp_path):
         with pytest.raises(ValueError, match=re.escape(
-                "checkpoint model 1 'pair-1': 'nl_columns' holds a name that is not a string")):
+                "checkpoint model 1 'pair-1': nl_columns[0] must be str, got int")):
             load_models(self._tampered(tmp_path, "nl_columns", [1, 2, 3, 4]))
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda doc: [1], "checkpoint is not a JSON object"),
+        (lambda doc: [1], "checkpoint must be an object, got list"),
         (lambda doc: {k: v for k, v in doc.items() if k != "models"},
-         "checkpoint 'models' is missing or has the wrong JSON type"),
+         "missing required key checkpoint.models"),
         (lambda doc: {**doc, "models": 5},
-         "checkpoint 'models' is missing or has the wrong JSON type"),
+         "checkpoint.models must be a list, got int"),
         (lambda doc: {**doc, "models": [doc["models"][0], 5]},
-         "checkpoint model 1: not a JSON object"),
+         "checkpoint.models[1] must be dict, got int"),
         (lambda doc: {**doc, "config_hash": 5},
-         "checkpoint 'config_hash' is missing or has the wrong JSON type"),
+         "checkpoint.config_hash must be str, got int"),
+        (lambda doc: {**doc, "version": 3.0},
+         "checkpoint.version must be int, got float"),
     ], ids=["document-a-list", "no-models", "models-a-number", "model-a-number",
-            "numeric-config-hash"])
+            "numeric-config-hash", "float-version"])
     def test_rejects_a_malformed_document(self, tmp_path, edit, match):
         import json
 
@@ -1161,18 +1168,24 @@ class TestCheckpoints:
         # the model is named by its index, and by its provenance while it has one
         name = "1" if key == "provenance" else "1 'pair-1'"
         with pytest.raises(ValueError, match=re.escape(
-                f"checkpoint model {name}: missing key(s) ['{key}']")):
+                f"checkpoint model {name}: missing required key {key}")):
             load_models(self._tampered(tmp_path, key, delete=True))
 
     def test_rejects_an_unknown_key(self, tmp_path):
         with pytest.raises(ValueError, match=re.escape(
-                "checkpoint model 1 'pair-1': unknown key(s) ['history']")):
+                "checkpoint model 1 'pair-1': unknown key history")):
             load_models(self._tampered(tmp_path, "history", {"loss": [1.0]}))
 
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
     def test_rejects_non_finite_keys(self, tmp_path, value):
         with pytest.raises(ValueError, match="'pair-1': keys are not finite"):
             load_models(self._tampered(tmp_path, "keys", value))
+
+    @pytest.mark.parametrize("key", ["keys", "temperature"])
+    def test_rejects_an_int_beyond_float_range(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=re.escape(
+                "checkpoint model 1 'pair-1': int too large to convert to float")):
+            load_models(self._tampered(tmp_path, key, 10 ** 400))
 
     def test_rejects_schema_tampering(self, tmp_path):
         import json
