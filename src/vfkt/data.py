@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -35,10 +36,10 @@ def from_dict(cls, doc, path: str = ""):
     built recursively, a JSON array becomes a tuple, a list or, for an
     ``Array`` field, a float array of any depth. An unknown key, a missing
     required key, a section that is not an object, or a value whose type is
-    not the field's (a bool is no int, an int is a float, an array holds
-    numbers only) raises ConfigError naming its dotted path (``lkt.epoch``);
-    a value the section itself rejects raises it as ``<path>: <message>``
-    (``lkt: epochs must be >= 1``).
+    not the field's (a bool is no int, an int within float range is a float,
+    an array holds numbers only) raises ConfigError naming its dotted path
+    (``lkt.epoch``); a value the section itself rejects raises it as
+    ``<path>: <message>`` (``lkt: epochs must be >= 1``).
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'} must be an object, got {type(doc).__name__}")
@@ -79,7 +80,10 @@ def _field_value(tp, value, path: str):
             if bad:
                 raise ConfigError(f"{path} must hold numbers only, got "
                                   f"{min(t.__name__ for t in bad)}")
-            return a.astype(float)
+            try:
+                return a.astype(float)
+            except OverflowError:
+                raise ConfigError(f"int too large to convert to float in {path}") from None
         items = get_args(tp)
         if origin is list or items[-1] is Ellipsis:
             items = (items[0],) * len(value)
@@ -88,10 +92,13 @@ def _field_value(tp, value, path: str):
         return origin(_field_value(t, v, f"{path}[{i}]")
                       for i, (t, v) in enumerate(zip(items, value)))
     # bool is an int subclass, so it is rejected outright where it is not
-    # the declared type; an int stays an int in a float field, as written
+    # the declared type; an int within float range stays an int in a float
+    # field, as written
     ok = isinstance(value, (int, float) if tp is float else tp)
     if not ok or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(f"{path} must be {tp.__name__}, got {type(value).__name__}")
+    if tp is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"int too large to convert to float in {path}")
     return value
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -163,6 +164,14 @@ def evaluate(net: DenseNet, x: Array, y: Array) -> float:
 
 @dataclass
 class RunReport:
+    """One condition's accuracies, written by ``to_json`` as ``asdict`` plus
+    the ``DERIVED`` keys, which ``from_json`` drops. A report holds no
+    timing, so reruns of one config write the same bytes (sweeps keep timing
+    in timings.json); ``wall_clock_s`` stays, always null, for readers."""
+
+    DERIVED: ClassVar[tuple[str, ...]] = ("mean", "std", "wall_clock_s")
+    wall_clock_s: ClassVar[None] = None
+
     condition: str
     seeds: list[int]
     accuracies: list[float]
@@ -183,29 +192,15 @@ class RunReport:
         return float(np.std(self.accuracies))
 
     def to_json(self) -> str:
-        # A report holds no timing, so reruns of the same config produce
-        # byte-identical files; sweeps persist timing in timings.json. The
-        # wall_clock_s key stays, always null, for readers of the format.
-        doc = {
-            "condition": self.condition,
-            "axis": self.axis,
-            "value": self.value,
-            "seeds": self.seeds,
-            "accuracies": self.accuracies,
-            "mean": self.mean,
-            "std": self.std,
-            "wall_clock_s": None,
-            "config_hash": self.config_hash,
-        }
+        doc = asdict(self) | {k: getattr(self, k) for k in self.DERIVED}
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        """The report ``to_json`` wrote, read by ``from_dict``; the derived
-        ``mean``, ``std`` and ``wall_clock_s`` are dropped unread."""
+        """The report ``to_json`` wrote, read by ``from_dict``."""
         doc = json.loads(text)
         if isinstance(doc, dict):
-            doc = {k: v for k, v in doc.items() if k not in ("mean", "std", "wall_clock_s")}
+            doc = {k: v for k, v in doc.items() if k not in cls.DERIVED}
         return from_dict(cls, doc, "report")
 
 

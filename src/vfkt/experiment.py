@@ -40,6 +40,8 @@ class CsvSource:
     def __post_init__(self):
         if not self.data_paths:
             raise ConfigError("data_paths must name at least one data party")
+        if self.label_column == self.id_column:
+            raise ConfigError(f"label_column and id_column are both {self.id_column!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ finite differences in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -685,24 +685,16 @@ class Checkpoint:
 
 
 def save_models(path, models: list[LktModel], config_hash: str) -> None:
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "config_hash": config_hash,
-        "models": [
-            {
-                "enc": {"layers": [{"w": l.w.tolist(), "b": l.b.tolist(),
-                                    "activation": l.activation} for l in m.enc.layers]},
-                "keys": m.keys.tolist(),
-                "temperature": m.temperature,
-                "provenance": m.provenance,
-                "nl_columns": list(m.nl_columns),
-            }
-            for m in models
-        ],
-    }
+    """Writes the ``Checkpoint`` that ``load_models`` reads, with ``asdict``:
+    one ``CheckpointEntry`` per model, its arrays as nested lists."""
+    entries = [asdict(CheckpointEntry(CheckpointEncoder(m.enc.layers), m.keys,
+                                      m.temperature, m.provenance, m.nl_columns))
+               for m in models]
+    doc = Checkpoint(CHECKPOINT_VERSION, config_hash, entries)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     # one dumps call runs the C encoder; json.dump streams through the Python one
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(doc), sort_keys=True, default=np.ndarray.tolist),
+                          encoding="utf-8")
 
 
 def load_models(path):
@@ -726,7 +718,7 @@ def load_models(path):
             for l in e.enc.layers:
                 if l.w.ndim != 2:
                     raise ConfigError(f"weights of shape {l.w.shape} are not a matrix")
-            enc = DenseNet(list(e.enc.layers))
+            enc = DenseNet(e.enc.layers)
             if not np.all(np.isfinite(enc.params)):
                 raise ConfigError("network weights are not finite")
             if enc.input_dim != len(e.nl_columns):
@@ -737,7 +729,7 @@ def load_models(path):
                 raise ConfigError("keys are not finite")
             if not (np.isfinite(temperature) and temperature > 0):
                 raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
-        except (ValueError, OverflowError) as exc:  # an int beyond float range
+        except ValueError as exc:
             raise ConfigError(f"checkpoint model {name}: {exc}") from None
         models.append(LktModel(enc=enc, keys=e.keys, temperature=temperature,
                                provenance=e.provenance, nl_columns=e.nl_columns))

@@ -11,7 +11,7 @@ through an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,7 +236,7 @@ class AdamState:
         return p - step
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
     w: Array  # (fan_in, fan_out), or (K, fan_in, fan_out) in a stacked net
     b: Array  # (fan_out,), or (K, fan_out)
@@ -252,11 +252,13 @@ class DenseNet:
     etc.); either part can be skipped when the caller discards it.
 
     All weights and biases live in one flat buffer, ``params``, laid out as
-    ``w_0, b_0, w_1, b_1, ...``; each layer's ``w`` and ``b`` are views into
-    it, so they must be modified in place, never rebound (``adam_step``
-    raises if one has been); unpickling goes through ``__init__``, which
-    makes them views again. A net holds parameters only: the Adam moments
-    belong to the loop that steps it, which makes them with ``adam_state``.
+    ``w_0, b_0, w_1, b_1, ...``, which the net copies the given layers into;
+    ``layers`` is its own tuple of frozen ``DenseLayer``s whose ``w`` and
+    ``b`` are views into it, so they are modified in place, and the caller's
+    layers are left as they were. Unpickling and ``copy`` go through
+    ``__init__``, which makes a new buffer. A net holds parameters only: the
+    Adam moments belong to the loop that steps it, which makes them with
+    ``adam_state``.
 
     ``stack`` makes one net of K nets of one layout: ``params`` is (K, P),
     row k laid out as net k's, ``w`` and ``b`` are (K, fan_in, fan_out) and
@@ -264,7 +266,7 @@ class DenseNet:
     gains the leading K axis. Each row steps bit for bit as its own net.
     """
 
-    def __init__(self, layers: list[DenseLayer]):
+    def __init__(self, layers: Sequence[DenseLayer]):
         for i, l in enumerate(layers):
             if l.activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {l.activation!r}")
@@ -272,17 +274,17 @@ class DenseNet:
                 raise ValueError(f"bias of shape {l.b.shape} for weights of shape {l.w.shape}")
             if i and layers[i - 1].b.shape != l.w.shape[:-1]:
                 raise ValueError("consecutive layer dimensions do not chain")
-        self.layers = layers
         self.params = np.concatenate(
             [x for l in layers for x in (l.w.reshape(l.b.shape[:-1] + (-1,)), l.b)], axis=-1,
             dtype=float)
-        start = 0
+        views, start = [], 0
         for l in layers:
             fan_in, fan_out = l.w.shape[-2:]
-            l.w = self.params[..., start:start + fan_in * fan_out].reshape(l.w.shape)
+            w = self.params[..., start:start + fan_in * fan_out].reshape(l.w.shape)
             start += fan_in * fan_out
-            l.b = self.params[..., start:start + fan_out]
+            views.append(DenseLayer(w, self.params[..., start:start + fan_out], l.activation))
             start += fan_out
+        self.layers = tuple(views)
 
     @classmethod
     def create(cls, sizes: list[int], activations: list[str], rng) -> "DenseNet":
@@ -388,15 +390,10 @@ class DenseNet:
         """One Adam step down ``grad``, laid out as ``params``, advancing ``state``."""
         if grad.shape != self.params.shape:
             raise ValueError("gradient shape mismatch")
-        for layer in self.layers:
-            if layer.w.base is not self.params or layer.b.base is not self.params:
-                raise RuntimeError(
-                    "a layer's w or b was rebound away from the net's parameter "
-                    "buffer; modify parameters in place")
         self.params[:] = state.update(self.params, grad, lr)
 
     def __reduce__(self):
         return DenseNet, (self.layers,)
 
     def copy(self) -> "DenseNet":
-        return DenseNet([DenseLayer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers])
+        return DenseNet(self.layers)

@@ -304,6 +304,8 @@ class TestExperimentConfig:
          "synthetic: data_features must name at least one data party"),
         ({"csv": {"task_path": "t.csv", "data_paths": []}},
          "csv: data_paths must name at least one data party"),
+        ({"csv": {"task_path": "t.csv", "data_paths": ["d.csv"], "id_column": "y"}},
+         "csv: label_column and id_column are both 'y'"),
         ({"synthetic": {}, "frl": {"iter_num": 0}}, "frl: iter_num must be >= 1"),
         ({"synthetic": {}, "lkt": {"epochs": 0}}, "lkt: epochs must be >= 1"),
         ({"synthetic": {}, "downstream": {"epochs": 0}}, "downstream: epochs must be >= 1"),
@@ -376,6 +378,11 @@ class TestExperimentConfig:
         ({"lkt": {"epochs": "5"}}, "lkt.epochs must be int, got str"),
         ({"lkt": {"mine_hidden": 5}}, "lkt.mine_hidden must be a list, got int"),
         ({"downstream": {"n_seeds": "3"}}, "downstream.n_seeds must be int, got str"),
+        ({"lkt": {"learning_rate": 10 ** 400}},
+         "int too large to convert to float in lkt.learning_rate"),
+        ({"lkt": {"temperature": -10 ** 400}},
+         "int too large to convert to float in lkt.temperature"),
+        ({"synthetic": {"noise": 10 ** 400}}, "int too large to convert to float in synthetic.noise"),
     ])
     def test_scalar_types_checked(self, tmp_path, capsys, bad, message):
         doc = {**_tiny_config().to_dict(), **bad}
@@ -645,7 +652,7 @@ class TestPairTrainingMemo:
         first = run_pipeline_once(cfg, "ablation-no-cl", ds, run_seed=0)
         want = [(self._encoder_bytes(m), m.keys.tobytes()) for m in first.models]
         for m in first.models:
-            m.enc.layers[0].w += 1.0
+            m.enc.layers[0].w[...] += 1.0
             m.keys *= 2.0
             m.history["loss"].append(1.0)
         second = run_pipeline_once(cfg, "ablation-no-cl", ds, run_seed=0)

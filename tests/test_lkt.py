@@ -872,8 +872,8 @@ class TestFinetune:
     def test_mixed_activations_rejected(self):
         cfg = LktConfig(latent_dim=3, hidden_width=6, finetune_epochs=1)
         models, x = self._untrained(3, 20, cfg)
-        relu = models[1].enc.copy()
-        relu.layers[0].activation = "relu"
+        layers = models[1].enc.layers
+        relu = DenseNet((replace(layers[0], activation="relu"), *layers[1:]))
         models[1] = replace(models[1], enc=relu)
         with pytest.raises(ValueError, match=r"^pair model 1 'pair-1': encoder layout "
                                              r"\(\(\(5, 6\), 'relu'\)"):

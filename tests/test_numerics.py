@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra and optimization kernels."""
 import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -318,6 +319,24 @@ class TestAdam:
         up = s2.update(np.zeros(2), -g, lr=0.1)
         np.testing.assert_allclose(down, -up, atol=1e-12)
 
+    def test_update_is_the_textbook_expression_bit_for_bit(self):
+        """Every step equals the textbook Adam update written out here to
+        the bit, so a reordering of its arithmetic is caught."""
+        rng = np.random.default_rng(12)
+        p = ref = rng.standard_normal((2, 25))
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        state = AdamState.like(p)
+        for t in range(1, 7):
+            g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3)
+            lr = 10.0 ** rng.uniform(-4, -1)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            m_hat, v_hat = m / (1 - 0.9 ** t), v / (1 - 0.999 ** t)
+            ref = ref - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            p = state.update(p, g, lr)
+            assert p.tobytes() == ref.tobytes()
+            assert (state.m.tobytes(), state.v.tobytes(), state.t) == (m.tobytes(), v.tobytes(), t)
+
     def test_minimizes_quadratic(self):
         state = AdamState.like(np.zeros(1))
         p = np.array([5.0])
@@ -527,22 +546,26 @@ class TestDenseNet:
         rng = np.random.default_rng(4)
         net = DenseNet.create([2, 2], ["linear"], rng)
         dup = net.copy()
-        net.layers[0].w += 1.0
+        net.layers[0].w[...] += 1.0
         assert not np.array_equal(net.layers[0].w, dup.layers[0].w)
 
     def test_rebound_parameters_rejected(self):
         """Layer weights are views into the net's parameter buffer; a layer
-        rebound to a new array would no longer be trained, so Adam refuses."""
+        rebound to a new array would no longer be trained, so layers are
+        frozen."""
         rng = np.random.default_rng(6)
         net = DenseNet.create([2, 3, 1], ["relu", "linear"], rng)
-        x = rng.standard_normal((5, 2))
-        out, cache = net.forward(x)
-        grads, _ = net.backward(cache, np.ones_like(out))
-        adam = net.adam_state()
-        net.adam_step(adam, grads, lr=1e-2)
-        net.layers[1].b = net.layers[1].b.copy()
-        with pytest.raises(RuntimeError, match="rebound"):
-            net.adam_step(adam, grads, lr=1e-2)
+        with pytest.raises(FrozenInstanceError):
+            net.layers[1].b = net.layers[1].b.copy()
+
+    def test_a_net_leaves_the_layers_it_was_built_from_alone(self):
+        w, b = np.ones((2, 3)), np.zeros(3)
+        layer = DenseLayer(w, b, "relu")
+        net = DenseNet([layer])
+        net.params[:] = 5.0
+        assert layer.w is w and layer.b is b
+        assert (w == 1.0).all() and (b == 0.0).all()
+        assert net.layers[0].w.base is net.params and net.layers[0].b.base is net.params
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(5)
