@@ -189,19 +189,24 @@ def cross_attention(query: Array, h_fed: Array, phi: Array) -> Array:
     return _attend(query, h_fed @ phi)[0]
 
 
+def _joint_samples(p: Array, q: Array) -> tuple[Array, Array]:
+    """``p`` and ``q`` as float arrays, checked to hold at least 2 row-aligned
+    joint samples, as ``mine_estimate`` and ``train_mine`` need them."""
+    p, q = (np.asarray(a, dtype=float) for a in (p, q))
+    if not 2 <= p.shape[0] == q.shape[0]:
+        raise ValueError("p and q must be at least 2 row-aligned joint samples, got "
+                         f"{p.shape[0]} and {q.shape[0]} rows")
+    return p, q
+
+
 def mine_estimate(mine: DenseNet, p: Array, q: Array, rng) -> float:
     """Donsker-Varadhan lower bound on MI between row-aligned samples.
 
     Marginal pairs come from a random cyclic shift of q's rows (no row pairs
     with itself); the log-mean-exp is max-shifted.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape[0] != q.shape[0]:
-        raise ValueError("p and q must be row-aligned joint samples")
+    p, q = _joint_samples(p, q)
     n = p.shape[0]
-    if n < 2:
-        raise ValueError("mine_estimate needs at least 2 samples")
     shift = int(np.random.default_rng(rng).integers(1, n))
     t, _ = mine.forward(_stack_pairs(p, q, shift))
     return float(_dv_bound(t, n))
@@ -263,19 +268,17 @@ def train_mine(p: Array, q: Array, steps: int, seed) -> DenseNet:
     """Fit a critic by gradient ascent on the lower bound (full-batch Adam),
     with the default ``LktConfig``'s critic widths, activation and
     learning rate."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = _joint_samples(p, q)
     rng = np.random.default_rng(seed)
     config = LktConfig()
     net = _critic(p.shape[1] + q.shape[1], config, rng)
-    n = p.shape[0]
     # Scratch buffers reused by every step's pass: the full-batch
     # activations would otherwise be allocated, freed and paged in afresh
     # each step.
     ws: dict = {}
     adam = net.adam_state()
     for _ in range(steps):
-        shift = int(rng.integers(1, n))
+        shift = int(rng.integers(1, len(p)))
         net.adam_step(adam, _critic_grads(net, _stack_pairs(p, q, shift), ws),
                       config.learning_rate)
     return net
@@ -406,23 +409,24 @@ def _reconstruction_table(h_t_ol: FeatureMatrix, h_t_nl: FeatureMatrix,
 def lkt_train(h_t_ols: list[FeatureMatrix], h_t_nl: FeatureMatrix,
               h_feds: list[FederatedRepresentation], config: LktConfig, seeds: list,
               provenances: list[str] | None = None) -> list[LktModel]:
-    """Train K pair models as one stack: alternating descent on the transfer
-    loss and ascent of the MI critic, one critic step per model step per batch.
+    """Train K pair models: alternating descent on the transfer loss and
+    ascent of the MI critic, one critic step per model step per batch.
 
     Pair k is ``h_t_ols[k]``, ``h_feds[k]``, ``seeds[k]`` and
     ``provenances[k]`` (``pair-<k>`` by default), over the non-overlap rows
-    ``h_t_nl`` that all pairs share; one pair is a stack of one. The
-    federated representations must share one shape, and so must the tables
-    the decoders rebuild. Each pair draws its networks and its batches from
-    its own seed, in the order of a pair trained alone (the epoch's
-    reconstruction-row permutation, then its batch permutation, then one
-    critic shift per batch), and each model is bit for bit the one it would
-    be alone. With an MI weight of 0 the critic is drawn but never run, and
-    ``history`` holds no "mi" curve.
+    ``h_t_nl`` that all pairs share. Pairs whose decoders rebuild tables of
+    one shape and whose federated representations have one shape train as
+    one stack, the groups in order of their first pair; one pair is a stack
+    of one. Each pair draws its networks and its batches from its own seed,
+    in the order of a pair trained alone (the epoch's reconstruction-row
+    permutation, then its batch permutation, then one critic shift per
+    batch), and the models come back in input order, each bit for bit the
+    one its pair trains alone. With an MI weight of 0 the critic is drawn
+    but never run, and ``history`` holds no "mi" curve.
 
-    A pair whose loss turns non-finite stops the stack. The pairs before it
-    train again as a stack of their own, so the ``LktDivergenceError``
-    raised names the first pair that diverges, with its seed, epoch and
+    A pair whose loss turns non-finite stops training. The pairs before it,
+    of every shape, train again, so the ``LktDivergenceError`` raised names
+    the first pair in input order that diverges, with its seed, epoch and
     provenance, as training the pairs one after another would.
     """
     n_pairs = len(h_feds)
@@ -430,19 +434,29 @@ def lkt_train(h_t_ols: list[FeatureMatrix], h_t_nl: FeatureMatrix,
     if not n_pairs or not len(h_t_ols) == len(seeds) == len(provenances) == n_pairs:
         raise ValueError("lkt_train needs one overlap table, seed and provenance per "
                          "federated representation, and at least one of each")
-    recs = [_reconstruction_table(h_t_ol, h_t_nl, config).values for h_t_ol in h_t_ols]
-    for what, tables in (("federated representation", [f.matrix for f in h_feds]),
-                         ("reconstruction table", recs)):
-        if len({t.shape for t in tables}) != 1:
-            raise ValueError(f"stacked pairs need one {what} shape, got "
-                             f"{[t.shape for t in tables]}")
+    groups: dict[tuple, list[int]] = {}
+    for k, (h_t_ol, h_fed) in enumerate(zip(h_t_ols, h_feds)):
+        rec = _reconstruction_table(h_t_ol, h_t_nl, config).values
+        groups.setdefault((rec.shape, h_fed.matrix.shape), []).append(k)
+    models = {k: model for group in groups.values() for k, model in
+              zip(group, _train_stack(group, h_t_ols, h_t_nl, h_feds, config, seeds, provenances))}
+    return [models[k] for k in range(n_pairs)]
+
+
+def _train_stack(group, h_t_ols, h_t_nl, h_feds, config, seeds, provenances) -> list[LktModel]:
+    """``lkt_train`` on the pairs ``group`` of its inputs, which step as one
+    ``TrainingPair.stack``: their reconstruction tables have one shape, and
+    so do their federated representations."""
+    recs = [_reconstruction_table(h_t_ols[k], h_t_nl, config).values for k in group]
+    stack_seeds = [seeds[k] for k in group]
+    n_pairs = len(group)
     x_nl = h_t_nl.values
     n_rec, n_rec_cols = recs[0].shape
-    n_fed = h_feds[0].matrix.shape[1]
+    n_fed = h_feds[group[0]].matrix.shape[1]
     # Pairs of one seed would each draw the same batches and shifts: they
     # draw them from one stream, and their batch rows are gathered once.
     rngs = [np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-            for seed in (seeds[:1] if len(set(seeds)) == 1 else seeds)]
+            for seed in (stack_seeds[:1] if len(set(stack_seeds)) == 1 else stack_seeds)]
     # One table that every pair rebuilds is read as it is, not copied per
     # pair; distinct ones are read as one table, pair k's rows from k * n_rec.
     if all(np.array_equal(r, recs[0]) for r in recs):
@@ -452,13 +466,13 @@ def lkt_train(h_t_ols: list[FeatureMatrix], h_t_nl: FeatureMatrix,
     # A stack of one steps as its pair itself, on 2-D arrays, which numpy
     # runs faster than (1, n, .) ones; ``rows`` picks the pair axis of the
     # per-pair arrays below.
-    pairs = [build_model(x_nl.shape[1], n_rec_cols, n_fed, config, seed) for seed in seeds]
+    pairs = [build_model(x_nl.shape[1], n_rec_cols, n_fed, config, seed) for seed in stack_seeds]
     stack = pairs[0] if n_pairs == 1 else TrainingPair.stack(pairs)
     del pairs  # a stack of several holds copies of them
     rows = 0 if n_pairs == 1 else slice(None)
     # Factorization outputs have orthonormal columns (entries ~ 1/sqrt(n)),
     # which would flatten the attention softmax; rescale to unit variance.
-    fed = np.stack([standardize_columns(f.matrix)[0] for f in h_feds])[rows]
+    fed = np.stack([standardize_columns(h_feds[k].matrix)[0] for k in group])[rows]
     enc_adam, dec_adam, mine_adam = (net.adam_state()
                                      for net in (stack.enc, stack.dec, stack.mine))
     phi_adam = AdamState.like(stack.phi)
@@ -484,8 +498,8 @@ def lkt_train(h_t_ols: list[FeatureMatrix], h_t_nl: FeatureMatrix,
             loss, parts, grads = loss_and_grads(stack, xb, xr, fed, shifts, ws)
             finite = np.isfinite(loss)
             if not finite.all():
-                k = int(np.argmin(finite))  # the first pair whose loss is not finite
-                if k:
+                k = group[int(np.argmin(finite))]  # the first pair whose loss is not finite
+                if k:  # an earlier pair, of any shape, may diverge first
                     lkt_train(h_t_ols[:k], h_t_nl, h_feds[:k], config, seeds[:k],
                               provenances[:k])
                 raise LktDivergenceError(seeds[k], epoch, provenances[k])
@@ -503,11 +517,11 @@ def lkt_train(h_t_ols: list[FeatureMatrix], h_t_nl: FeatureMatrix,
 
     encs = [stack.enc] if n_pairs == 1 else stack.enc.unstack()
     keys = fed @ stack.phi
-    return [LktModel(enc=enc, keys=keys.reshape((n_pairs, *keys.shape[-2:]))[k],
+    return [LktModel(enc=enc, keys=keys.reshape((n_pairs, *keys.shape[-2:]))[row],
                      temperature=config.temperature, provenance=provenances[k],
                      nl_columns=h_t_nl.columns,
-                     history={name: [c[j][k] for c in curves] for j, name in enumerate(names)})
-            for k, enc in enumerate(encs)]
+                     history={name: [c[j][row] for c in curves] for j, name in enumerate(names)})
+            for row, (k, enc) in enumerate(zip(group, encs))]
 
 
 # ---------------------------------------------------------------------------

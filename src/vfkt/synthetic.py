@@ -45,6 +45,8 @@ class SyntheticSpec:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not np.isfinite(self.task_signal):
             raise ConfigError(f"task_signal must be finite, got {self.task_signal}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "data_features", tuple(self.data_features))
 
 

@@ -324,6 +324,21 @@ class TestMine:
         with pytest.raises(ValueError, match="row-aligned"):
             mine_estimate(net, np.ones((3, 1)), np.ones((2, 1)), rng=0)
 
+    @pytest.mark.parametrize("p_rows, q_rows, steps", [
+        (1, 1, 3), (3, 2, 3), (3, 2, 0), (2, 3, 0),
+    ], ids=["one-row", "misaligned", "misaligned-no-steps", "misaligned-other-way"])
+    def test_train_mine_checks_its_samples_as_mine_estimate_does(self, p_rows, q_rows, steps):
+        # unchecked, one row failed inside the generator, misaligned rows
+        # failed to broadcast, and with no steps came back as a critic
+        p, q = np.ones((p_rows, 2)), np.ones((q_rows, 1))
+        message = (f"p and q must be at least 2 row-aligned joint samples, got {p_rows} and "
+                   f"{q_rows} rows")
+        net = DenseNet.create([3, 1], ["linear"], np.random.default_rng(0))
+        for call in (lambda: train_mine(p, q, steps=steps, seed=0),
+                     lambda: mine_estimate(net, p, q, rng=0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
     def test_correlated_gaussian_recovers_known_mi(self):
         # [DERIVED] oracle: for a bivariate Gaussian with correlation 0.8,
         # MI = -0.5*ln(1 - 0.8^2) = 0.5108256237659907 nats. The bound is a
@@ -524,17 +539,20 @@ class TestLktStack:
     @staticmethod
     def _pairs(k_pairs, n_rows=43, n_overlap=12, n_fed=5, big=None):
         """Shared non-overlap rows and, per pair, an overlap table of the same
-        columns and a federated representation; ``big`` maps a pair to the
-        overlap row set to 1e200, whose reconstruction overflows."""
+        columns and a federated representation; ``n_overlap`` and ``n_fed``
+        give every pair's overlap rows and federated width, or each pair's in
+        turn; ``big`` maps a pair to the overlap row set to 1e200, whose
+        reconstruction overflows."""
+        n_overlap, n_fed = (np.broadcast_to(n, k_pairs) for n in (n_overlap, n_fed))
         rng = np.random.default_rng(8)
         x = _feature_matrix(rng.normal(size=(n_rows, 4)))
-        ols = [_feature_matrix(rng.normal(size=(n_overlap, 4)), prefix=f"o{k}_")
+        ols = [_feature_matrix(rng.normal(size=(n_overlap[k], 4)), prefix=f"o{k}_")
                for k in range(k_pairs)]
         for k, row in (big or {}).items():
             values = ols[k].values.copy()
             values[row] = 1e200
             ols[k] = replace(ols[k], values=values)
-        feds = [_fed(rng.normal(size=(n_overlap, n_fed))) for _ in range(k_pairs)]
+        feds = [_fed(rng.normal(size=(n_overlap[k], n_fed[k]))) for k in range(k_pairs)]
         return ols, x, feds
 
     @staticmethod
@@ -549,22 +567,30 @@ class TestLktStack:
         assert (got.provenance, got.nl_columns) == (want.provenance, want.nl_columns)
         assert got.history == {k: v for k, v in want.history.items() if k in got.history}
 
-    @pytest.mark.parametrize("k_pairs, source, seeds, weight", [
-        (1, "local", [4], 0.4),
-        (2, "local", [4, 4], 0.4),
-        (5, "local", [4] * 5, 0.4),
-        (2, "overlap", [4, 4], 0.4),
-        (5, "overlap", [4] * 5, 0.4),
-        (5, "local", [3, 9, 3, 0, 12], 0.4),
-        (3, "overlap", [3, 9, 1], 0.4),
-        (1, "local", [4], 0.0),
-        (3, "overlap", [4, 7, 4], 0.0),
+    @pytest.mark.parametrize("k_pairs, source, seeds, weight, shapes", [
+        (1, "local", [4], 0.4, {}),
+        (2, "local", [4, 4], 0.4, {}),
+        (5, "local", [4] * 5, 0.4, {}),
+        (2, "overlap", [4, 4], 0.4, {}),
+        (5, "overlap", [4] * 5, 0.4, {}),
+        (5, "local", [3, 9, 3, 0, 12], 0.4, {}),
+        (3, "overlap", [3, 9, 1], 0.4, {}),
+        (1, "local", [4], 0.0, {}),
+        (3, "overlap", [4, 7, 4], 0.0, {}),
+        # interleaved shapes: each group steps as a stack of its own
+        (3, "local", [4] * 3, 0.4, dict(n_fed=[5, 4, 5])),
+        (4, "overlap", [4] * 4, 0.4, dict(n_overlap=[12, 11, 12, 11])),
+        (5, "overlap", [3, 9, 3, 0, 12], 0.4,
+         dict(n_fed=[5, 4, 5, 4, 4], n_overlap=[12, 12, 11, 11, 12])),
+        (3, "overlap", [4, 7, 4], 0.0, dict(n_fed=[5, 4, 5], n_overlap=[12, 11, 12])),
     ], ids=["K1", "K2", "K5", "K2-overlap", "K5-overlap", "K5-own-seeds",
-            "K3-overlap-own-seeds", "K1-weight-0", "K3-weight-0"])
-    def test_matches_the_per_pair_loop_bit_for_bit(self, k_pairs, source, seeds, weight):
+            "K3-overlap-own-seeds", "K1-weight-0", "K3-weight-0", "K3-fed-widths",
+            "K4-overlap-rows", "K5-mixed-own-seeds", "K3-mixed-weight-0"])
+    def test_matches_the_per_pair_loop_bit_for_bit(self, k_pairs, source, seeds, weight,
+                                                  shapes):
         # 43 rows in batches of 10: the last batch of 3 takes a step, and the
         # 12 overlap rows are cycled through within an epoch
-        ols, x, feds = self._pairs(k_pairs)
+        ols, x, feds = self._pairs(k_pairs, **shapes)
         cfg = self._cfg(reconstruction_source=source, mi_weight=weight)
         names = [f"p{k}" for k in range(k_pairs)]
         got = lkt_train(ols, x, feds, cfg, seeds, names)
@@ -628,19 +654,6 @@ class TestLktStack:
                                              "federated representation"):
             lkt_train(**{**args, **edit})
 
-    def test_pairs_need_one_shape(self):
-        ols, x, feds = self._pairs(2)
-        narrow = _fed(np.ones((12, 4)))
-        with pytest.raises(ValueError, match=r"one federated representation shape, "
-                                             r"got \[\(12, 5\), \(12, 4\)\]"):
-            lkt_train(ols, x, [feds[0], narrow], self._cfg(), [0, 0])
-        short = _feature_matrix(np.ones((11, 4)), prefix="o")
-        with pytest.raises(ValueError, match=r"one reconstruction table shape"):
-            lkt_train([ols[0], short], x, feds, self._cfg(reconstruction_source="overlap"),
-                      [0, 0])
-        # a table the decoders do not rebuild may differ
-        lkt_train([ols[0], short], x, feds, self._cfg(reconstruction_source="local"), [0, 0])
-
     @staticmethod
     def _divergence_epoch(ols, x, feds, cfg, k, seed):
         with np.errstate(all="ignore"):
@@ -650,28 +663,44 @@ class TestLktStack:
                 return exc.epoch
         return None
 
-    def test_a_later_pair_that_diverges_first_yields_the_per_pair_error(self):
+    def _assert_pair_1_diverges_first(self, n_fed):
         # pair 2 diverges in epoch 0 and pair 1 in a later epoch: training
-        # the pairs one after another stops at pair 1, and so does the stack.
-        # Each epoch rebuilds 12 of the 40 overlap rows, so the epoch in
-        # which a pair first reads its overflowing row follows that row.
+        # the pairs one after another stops at pair 1, and so does
+        # ``lkt_train``. Each epoch rebuilds 12 of the 40 overlap rows, so the
+        # epoch in which a pair first reads its overflowing row follows that row.
         cfg = self._cfg(reconstruction_source="overlap", epochs=4)
         seeds = [5, 6, 7]
-        _, x, feds = self._pairs(3, n_rows=12, n_overlap=40)
+        _, x, feds = self._pairs(3, n_rows=12, n_overlap=40, n_fed=n_fed)
         first_read = {}  # (pair, epoch) -> an overflowing row that pair first reads then
         for k in (1, 2):
             for row in range(40):
-                trial, _, _ = self._pairs(3, n_rows=12, n_overlap=40, big={k: row})
+                trial, _, _ = self._pairs(3, n_rows=12, n_overlap=40, n_fed=n_fed, big={k: row})
                 epoch = self._divergence_epoch(trial, x, feds, cfg, k, seeds[k])
                 first_read.setdefault((k, epoch), row)
         late = min(e for k, e in first_read if k == 1 and e)
-        ols, _, _ = self._pairs(3, n_rows=12, n_overlap=40,
+        ols, _, _ = self._pairs(3, n_rows=12, n_overlap=40, n_fed=n_fed,
                                 big={1: first_read[1, late], 2: first_read[2, 0]})
         assert self._divergence_epoch(ols, x, feds, cfg, 0, seeds[0]) is None
         with np.errstate(all="ignore"), pytest.raises(LktDivergenceError) as exc:
             lkt_train(ols, x, feds, cfg, seeds)
         assert (exc.value.seed, exc.value.epoch, exc.value.provenance) == (6, late, "pair-1")
         assert str(exc.value) == f"training diverged (loss not finite) at epoch {late}, seed 6"
+
+    def test_a_later_pair_that_diverges_first_yields_the_per_pair_error(self):
+        self._assert_pair_1_diverges_first(n_fed=5)
+
+    def test_a_pair_of_another_shape_that_diverges_first_yields_its_error(self, monkeypatch):
+        # pairs 0 and 2 stack and train first, and pair 2 stops them in
+        # epoch 0; pair 1, of its own shape, diverges later but comes first
+        # in input order, so its error is the one raised. Each divergence
+        # trains the pairs before it again: pairs 0 and 1 after pair 2's,
+        # pair 0 after pair 1's.
+        stacks = []
+        real_train = lkt._train_stack
+        monkeypatch.setattr(lkt, "_train_stack", lambda group, *args: (
+            stacks.append(list(group)) or real_train(group, *args)))
+        self._assert_pair_1_diverges_first(n_fed=[5, 4, 5])
+        assert stacks == [[0, 2], [0], [1], [0]]
 
     def test_five_pairs_peak_under_four_times_one(self):
         # many-hospitals shapes: 1380 shared rows of 16 columns, 120 overlap
